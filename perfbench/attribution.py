@@ -18,9 +18,10 @@ of the window is credited to the spans *running* at that instant:
   between threads and processes, and scheduling.
 
 So for every operation the credited self times plus the unattributed
-time equal its latency exactly, and the overlap says how much of the
-window was shared.  Without concurrency a span's credit is its duration
-minus the time its children cover.
+time equal its latency by construction, and the overlap says how much
+of the window was shared.  Without concurrency a span's credit is its
+duration minus the time its children cover.  :func:`check_credit` tests
+what the construction does not guarantee.
 
 :func:`build_tree` gives the causal tree the trace file holds: a span's
 parent is the enclosing span on its own thread, else the innermost
@@ -72,6 +73,8 @@ class OpAttribution:
     unattributed: float = 0.0
     overlap: float = 0.0
     spans: list[Span] = field(default_factory=list)
+    #: span key -> the share of the window credited to that span
+    credit: dict[tuple[str, int], float] = field(default_factory=dict)
 
 
 class SpanIndex:
@@ -132,8 +135,25 @@ def attribute(start: float, end: float, index: SpanIndex) -> OpAttribution:
         share = length / len(running)
         for span in running:
             out.self_time[span.name] = out.self_time.get(span.name, 0.0) + share
+            out.credit[span.key] = out.credit.get(span.key, 0.0) + share
         out.overlap += length * (len(running) - 1)
     return out
+
+
+def check_credit(start: float, end: float, att: OpAttribution,
+                 sides: tuple[str, ...], tolerance: float) -> list[str]:
+    """Problems with one operation's split (empty when sound): a process
+    in ``sides`` with no span in the window (its spans were lost, or its
+    clock disagrees), or a span credited with more than the part of it
+    that lies inside the window (``tolerance`` seconds of slack)."""
+    problems = [f"no span from the {side} process"
+                for side in sides if all(s.side != side for s in att.spans)]
+    for span in att.spans:
+        inside = min(span.end, end) - max(span.start, start)
+        if att.credit.get(span.key, 0.0) > inside + tolerance:
+            problems.append(f"span {span.key} credited with more than its "
+                            f"{inside * 1e3:.4f} ms in the window")
+    return problems
 
 
 def build_tree(spans: list[Span]) -> dict[tuple[str, int], tuple[str, int] | None]:

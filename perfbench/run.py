@@ -27,6 +27,7 @@ import argparse
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -46,6 +47,9 @@ from common import (BROKER, DELIVERY_TIMEOUT_S, DRIVER_ADDRESS,  # noqa: E402
                     drbg_root, password, pin, use_repo_sources)
 
 ROUNDS = 3
+#: timed ops of the first round after which ``peak_rss_MB`` is read, so
+#: the figure does not grow with the number of ops a run completes
+RSS_OPS = 100
 #: seconds the server may take to start, generate keys and log members in
 SETUP_TIMEOUT_S = 60.0
 OUT = HERE / "out"
@@ -68,10 +72,16 @@ class Phase:
 
 @dataclass
 class Round:
+    index: int
     setup_s: float = 0.0
     phases: list[Phase] = field(default_factory=list)
     problems: list[str] = field(default_factory=list)
-    server_maxrss_kb: int = 0
+    #: peak RSS of driver + server after ``rss_ops`` timed ops, and at
+    #: the end of the round after ``ops`` timed ops (first round only)
+    rss_ops: int = 0
+    rss_kb: int = 0
+    end_rss_kb: int = 0
+    ops: int = 0
     #: digest of every text the round sent, in order
     payload_sha256: str = ""
     driver_spans: list[tuple] = field(default_factory=list)
@@ -175,6 +185,12 @@ def mark(conn: Connection, name: str) -> dict:
     return expect(conn, "mark", SETUP_TIMEOUT_S)
 
 
+def peak_rss_kb(server_usage: dict) -> int:
+    """Peak RSS of this process plus the server's, in KiB."""
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            + server_usage["maxrss_kb"])
+
+
 def _delta(after: dict[str, int], before: dict[str, int]) -> dict[str, int]:
     return {k: v - before.get(k, 0) for k, v in after.items()
             if v != before.get(k, 0)}
@@ -191,7 +207,7 @@ def final_checks(counters: dict[str, int], side: str) -> list[str]:
 
 
 def run_round(workload: Workload, seed: int, index: int, seconds: float,
-              trace: bool, ops: int | None, server_cpu: int | None) -> Round:
+              trace: bool, server_cpu: int | None) -> Round:
     from repro import obs
     from repro.bench.fixtures import cached_keypair
     from repro.core import SecureClientPeer
@@ -202,7 +218,10 @@ def run_round(workload: Workload, seed: int, index: int, seconds: float,
     from repro.xmllib import parse
     from spans import Recorder
 
-    result = Round()
+    result = Round(index)
+    # the driver's peak RSS spans the whole process, so only the first
+    # round's is read at a fixed op count
+    read_rss = index == 0
     rejected: list[str] = []
     connections = OpenConnections()
     # The driver's WallClock must be zeroed before the server's (the
@@ -261,9 +280,12 @@ def run_round(workload: Workload, seed: int, index: int, seconds: float,
                 recorder.enabled = True
             began = perf_counter()
             budget = seconds / len(names)
-            limit = None if ops is None else ops // len(names)
-            while (perf_counter() - began < budget if limit is None
-                   else phase.attempted < limit):
+            while perf_counter() - began < budget:
+                if read_rss and phase.attempted == RSS_OPS:
+                    ours.send(("usage", None))
+                    result.rss_ops = RSS_OPS
+                    result.rss_kb = peak_rss_kb(expect(ours, "usage", SETUP_TIMEOUT_S))
+                    read_rss = False
                 op += 1
                 phase.attempted += 1
                 try:
@@ -277,6 +299,10 @@ def run_round(workload: Workload, seed: int, index: int, seconds: float,
             phase.elapsed = perf_counter() - began
             recorder.enabled = False
             after = mark(ours, "trace" if name == "plain" and trace else "stop")
+            if read_rss:  # a short round: read it at the end of the phase
+                result.rss_ops = phase.attempted
+                result.rss_kb = peak_rss_kb(after["usage"])
+                read_rss = False
             now_cpu = time.process_time()
             now_counters = dict(obs.get_registry().snapshot()["counters"])
             phase.driver_cpu = now_cpu - driver_cpu
@@ -286,7 +312,8 @@ def run_round(workload: Workload, seed: int, index: int, seconds: float,
                 phase.counters[k] = phase.counters.get(k, 0) + v
             result.phases.append(phase)
             before, driver_cpu, driver_counters = after, now_cpu, now_counters
-        result.server_maxrss_kb = before["usage"]["maxrss_kb"]
+        result.end_rss_kb = peak_rss_kb(before["usage"])
+        result.ops = sum(p.attempted for p in result.phases)
         result.payload_sha256 = operation.sent.hexdigest()
         served = before["deliveries"]
         if served["duplicates"] or served["malformed"]:
@@ -329,10 +356,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--rounds", type=int, default=ROUNDS)
-    parser.add_argument("--ops", type=int, default=None,
-                        help="a fixed number of timed ops per round instead "
-                             "of --seconds (self-tests)")
     args = parser.parse_args(argv)
     use_repo_sources()
     import report
@@ -341,9 +364,9 @@ def main(argv: list[str] | None = None) -> int:
     driver_cpu, server_cpu = cpu_plan()
     pin(driver_cpu)
     workload = WORKLOADS[args.workload]
-    rounds = [run_round(workload, args.seed, index, args.seconds / args.rounds,
-                        bool(args.trace), args.ops, server_cpu)
-              for index in range(args.rounds)]
+    rounds = [run_round(workload, args.seed, index, args.seconds / ROUNDS,
+                        bool(args.trace), server_cpu)
+              for index in range(ROUNDS)]
     ops = report.attributions(rounds) if args.trace else []
     result, record = report.summarize(args, rounds, ops)
     record["nproc"] = nproc

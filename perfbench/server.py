@@ -162,6 +162,8 @@ def serve(conn: Connection) -> None:
                     recorder.enabled = True
                 deliveries.send(("mark", {"usage": usage(), "counters": counters(),
                                     "deliveries": deliveries.stats()}))
+            elif command == "usage":
+                deliveries.send(("usage", usage()))
             elif command == "spans":
                 recorder.enabled = False
                 deliveries.send(("spans", recorder.spans))

@@ -1,7 +1,8 @@
 """Self-tests of the benchmark: ``python3 -m pytest perfbench -q``.
 
-They run a tiny configuration of every workload end to end (two real
-processes, a few operations each), so they take about half a minute.
+They run a tiny configuration of every workload end to end: the real
+rounds, each with its own server process, measuring a fraction of a
+second each, so they take about a minute.
 """
 
 from __future__ import annotations
@@ -14,20 +15,26 @@ from pathlib import Path
 
 import pytest
 
-from attribution import Span, SpanIndex, attribute, build_tree, check_tree
+from attribution import (Span, SpanIndex, attribute, build_tree, check_credit,
+                         check_tree)
 from common import ROOT, WORKLOADS, Payloads
 
 HERE = Path(__file__).resolve().parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
-#: timed ops per run: enough for a stable median, few enough to be quick
-TINY_OPS = {"join": 12, "chat": 20, "group": 8}
+#: seconds a tiny run measures, split across its rounds and phases
+TINY_SECONDS = 1.5
+#: per-layer metrics that count work per operation, which the seed must
+#: not change (no re-key falls in a run this short)
+PER_OP_COUNTS = ["crypto.rsa.private_ops", "crypto.rsa.public_ops",
+                 "crypto.aead.ops", "net.tcp.frames", "overlay.broker.requests",
+                 "trace.spans_per_op"]
 
 
 def run(workload: str, seed: int, trace: int):
     return subprocess.run(
         [sys.executable, str(HERE / "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", "1", "--trace", str(trace),
-         "--rounds", "1", "--ops", str(TINY_OPS[workload])],
+         "--seed", str(seed), "--seconds", str(TINY_SECONDS),
+         "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, timeout=180)
 
 
@@ -54,7 +61,7 @@ def test_every_metric_prints_with_its_unit(tiny_runs, workload):
         assert set(result) == {"correct", "attempted", "failed", "metrics"}
         assert result["correct"] is True, record["problems"]
         assert result["failed"] == 0
-        assert result["attempted"] == TINY_OPS[workload]
+        assert result["attempted"] >= 1
         expected = {m["name"]: m["unit"] for m in SPEC[section]}
         assert {k: v["unit"] for k, v in result["metrics"].items()} == expected
         for value in result["metrics"].values():
@@ -69,17 +76,21 @@ def test_run_record(tiny_runs, workload):
         assert key in record
     assert record["seed"] == 3
     assert "loopback" in record["network"]
-    assert record["samples"]["latency_p50_ms"] == TINY_OPS[workload]
+    assert record["rounds"] == 3
+    assert record["samples"]["latency_p50_ms"] == result["attempted"]
+    assert 1 <= record["rss"]["ops"] <= result["attempted"]
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 def test_span_tree_is_well_formed(tiny_runs, workload):
-    ops: dict[int, list[dict]] = {}
+    _, record = tiny_runs[workload, 1]
+    ops: dict[tuple[int, int], list[dict]] = {}
     path = HERE / "out" / f"spans-{workload}-seed3-trace1.jsonl"
     for line in path.read_text().splitlines():
         entry = json.loads(line)
-        ops.setdefault(entry["op"], []).append(entry)
-    assert len(ops) == TINY_OPS[workload] // 2
+        ops.setdefault((entry["round"], entry["op"]), []).append(entry)
+    assert len(ops) == record["samples"]["per_layer_ops"]
+    assert {round_index for round_index, _ in ops} == {0, 1, 2}
     for entries in ops.values():
         roots = [e for e in entries if e.get("root")]
         assert len(roots) == 1
@@ -99,13 +110,14 @@ def test_span_tree_is_well_formed(tiny_runs, workload):
 def test_other_seed_changes_payload_not_op_counts(tiny_runs):
     assert Payloads(3, 0, 256).text(1) != Payloads(4, 0, 256).text(1)
     assert len(Payloads(3, 0, 256).text(1).encode()) == 256
-    result3, record3 = tiny_runs["chat", 0]
-    proc = run("chat", 4, 0)
+    result3, record3 = tiny_runs["group", 1]
+    proc = run("group", 4, 1)
     assert proc.returncode == 0, proc.stderr
     result4, record4 = parse(proc)
     assert record4["payload_sha256"] != record3["payload_sha256"]
-    assert result4["attempted"] == result3["attempted"]
-    assert record4["samples"] == record3["samples"]
+    for name in PER_OP_COUNTS:
+        assert result4["metrics"][name] == result3["metrics"][name], name
+    assert result3["metrics"]["overlay.broker.requests"]["value"] == 1.0
 
 
 def test_fails_without_the_program(tmp_path):
@@ -143,6 +155,7 @@ def test_attribution_credits_the_innermost_running_span():
     assert parents[("server", 2)] == ("server", 1)
     assert parents[("driver", 1)] is None
     assert check_tree(0.0, 12.0, spans, parents) == []
+    assert check_credit(0.0, 12.0, att, ("driver", "server"), 1e-9) == []
 
 
 def test_attribution_splits_concurrent_spans_and_reports_overlap():
@@ -154,6 +167,17 @@ def test_attribution_splits_concurrent_spans_and_reports_overlap():
     assert att.overlap == 2.0
     assert att.unattributed == 0.0
     assert sum(att.self_time.values()) + att.unattributed == att.latency
+
+
+def test_check_credit_finds_a_missing_process_and_an_overcredited_span():
+    spans = [span("driver", 1, "core.client", 1, 0.0, 4.0),
+             span("driver", 2, "crypto.aead", 1, 1.0, 2.0, parent=1)]
+    att = attribute(0.0, 6.0, SpanIndex(spans))
+    assert check_credit(0.0, 6.0, att, ("driver",), 1e-9) == []
+    assert check_credit(0.0, 6.0, att, ("driver", "server"), 1e-9) == [
+        "no span from the server process"]
+    att.credit[("driver", 2)] += 0.5
+    assert len(check_credit(0.0, 6.0, att, ("driver",), 1e-9)) == 1
 
 
 def test_check_tree_finds_a_child_outside_its_parent():
