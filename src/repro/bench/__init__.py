@@ -34,14 +34,12 @@ from repro.bench.msgfast import (
     write_bench_msgfast,
 )
 from repro.bench.profile import (
-    HOTPATH_SPEEDUP_TARGET,
     REGRESSION_TOLERANCE,
     format_hotpath,
     hotpath_report,
     layer_ladder,
     render_layer_table,
     stage_report,
-    steady_state_ab,
     write_bench_hotpath,
 )
 from repro.bench.group import (
@@ -84,7 +82,6 @@ __all__ = [
     "secure_reject_probe",
     "write_bench_fed",
     "GROUP_SIZES",
-    "HOTPATH_SPEEDUP_TARGET",
     "LOSS_RATES",
     "RATE_COUNTS",
     "REGRESSION_TOLERANCE",
@@ -93,7 +90,6 @@ __all__ = [
     "layer_ladder",
     "render_layer_table",
     "stage_report",
-    "steady_state_ab",
     "write_bench_hotpath",
     "format_msgfast",
     "msgfast_report",

@@ -1,25 +1,17 @@
-"""ChaCha20 stream cipher (RFC 8439) with vectorized fast paths.
+"""ChaCha20 stream cipher (RFC 8439) with a vectorized fast path.
 
 The scalar implementation follows the RFC block function literally and
-is the reference.  Two numpy formulations exist on top of it:
+is the reference.  ``_keystream_rows`` is the numpy formulation on top
+of it: the state is held as a ``(4, 4, n_blocks)`` array so the four
+column quarter-rounds of each round collapse into **one** vectorized
+quarter-round over ``(4, n)`` rows (diagonal rounds roll rows into
+column position and back), with explicit ``out=`` scratch to avoid
+temporaries.
 
-* ``_keystream_numpy`` — the original lane-per-block layout: a
-  ``(16, n_blocks)`` uint32 array, one quarter-round call per QR of the
-  round schedule (8 per double round).  Kept as the legacy path
-  (``perf.FLAGS.chacha_vector`` off) and as a differential reference.
-* ``_keystream_rows`` — the row formulation: state held as a
-  ``(4, 4, n_blocks)`` array so the four column quarter-rounds of each
-  round collapse into **one** vectorized quarter-round over ``(4, n)``
-  rows (diagonal rounds roll rows into column position and back).
-  Four times fewer Python-level numpy calls per round, with explicit
-  ``out=`` scratch to avoid temporaries — measured ~2x the legacy numpy
-  path at any size.
-
-Even so, numpy's fixed per-call overhead makes the scalar path cheaper
-below :data:`SCALAR_MAX_BLOCKS` blocks (the E-HOTPATH stage bench
-measures the crossover); ``keystream``/``chacha20_xor`` dispatch on
-that.  The test suite checks all paths against the RFC 8439 vectors and
-against each other.
+numpy's fixed per-call overhead makes the scalar path cheaper below
+:data:`SCALAR_MAX_BLOCKS` blocks; ``keystream``/``chacha20_xor``
+dispatch on that.  The test suite checks both paths against the RFC
+8439 vectors and the vectorized one against the scalar block function.
 """
 
 from __future__ import annotations
@@ -28,19 +20,12 @@ import struct
 
 import numpy as np
 
-from repro import perf
-
 _MASK32 = 0xFFFFFFFF
 _CONSTANTS = (0x61707865, 0x3320646E, 0x79622D32, 0x6B206574)  # "expand 32-byte k"
 
 #: Messages of at most this many 64-byte blocks take the scalar path —
-#: numpy's fixed per-call overhead dominates below the crossover (the
-#: E-HOTPATH ``crypto.keystream`` stage timings are the evidence).
+#: numpy's fixed per-call overhead dominates below the crossover.
 SCALAR_MAX_BLOCKS = 8
-
-#: The legacy dispatch threshold (blocks at which the old numpy path
-#: engaged), preserved for ``perf.FLAGS.chacha_vector = False``.
-_LEGACY_NUMPY_MIN_BLOCKS = 4
 
 
 def _quarter(state: list[int], a: int, b: int, c: int, d: int) -> None:
@@ -79,46 +64,6 @@ def chacha20_block(key: bytes, counter: int, nonce: bytes) -> bytes:
         _quarter(state, 3, 4, 9, 14)
     out = [(s + i) & _MASK32 for s, i in zip(state, init)]
     return struct.pack("<16I", *out)
-
-
-def _np_quarter(x: np.ndarray, a: int, b: int, c: int, d: int) -> None:
-    """Quarter round over a (16, n_blocks) uint32 array, in place."""
-    x[a] += x[b]
-    x[d] ^= x[a]
-    x[d] = (x[d] << np.uint32(16)) | (x[d] >> np.uint32(16))
-    x[c] += x[d]
-    x[b] ^= x[c]
-    x[b] = (x[b] << np.uint32(12)) | (x[b] >> np.uint32(20))
-    x[a] += x[b]
-    x[d] ^= x[a]
-    x[d] = (x[d] << np.uint32(8)) | (x[d] >> np.uint32(24))
-    x[c] += x[d]
-    x[b] ^= x[c]
-    x[b] = (x[b] << np.uint32(7)) | (x[b] >> np.uint32(25))
-
-
-def _keystream_numpy(key: bytes, counter: int, nonce: bytes, n_blocks: int) -> bytes:
-    """Legacy lane-per-block keystream (one QR call per schedule entry)."""
-    init = np.empty((16, n_blocks), dtype=np.uint32)
-    init[0:4] = np.array(_CONSTANTS, dtype=np.uint32)[:, None]
-    init[4:12] = np.frombuffer(key, dtype="<u4").astype(np.uint32)[:, None]
-    counters = (np.arange(n_blocks, dtype=np.uint64) + np.uint64(counter)) & np.uint64(_MASK32)
-    init[12] = counters.astype(np.uint32)
-    init[13:16] = np.frombuffer(nonce, dtype="<u4").astype(np.uint32)[:, None]
-    x = init.copy()
-    with np.errstate(over="ignore"):
-        for _ in range(10):
-            _np_quarter(x, 0, 4, 8, 12)
-            _np_quarter(x, 1, 5, 9, 13)
-            _np_quarter(x, 2, 6, 10, 14)
-            _np_quarter(x, 3, 7, 11, 15)
-            _np_quarter(x, 0, 5, 10, 15)
-            _np_quarter(x, 1, 6, 11, 12)
-            _np_quarter(x, 2, 7, 8, 13)
-            _np_quarter(x, 3, 4, 9, 14)
-        x += init
-    # Column-major lanes -> per-block 64-byte chunks, little-endian words.
-    return x.T.astype("<u4").tobytes()
 
 
 def _qr_rows(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray,
@@ -191,9 +136,7 @@ def keystream(key: bytes, counter: int, nonce: bytes, n_blocks: int,
     if use_numpy is None:
         use_numpy = n_blocks > SCALAR_MAX_BLOCKS
     if use_numpy:
-        if perf.FLAGS.chacha_vector:
-            return _keystream_rows(key, counter, nonce, n_blocks)
-        return _keystream_numpy(key, counter, nonce, n_blocks)
+        return _keystream_rows(key, counter, nonce, n_blocks)
     return b"".join(
         chacha20_block(key, counter + i, nonce) for i in range(n_blocks)
     )
@@ -203,19 +146,12 @@ def chacha20_xor(key: bytes, nonce: bytes, data: bytes, counter: int = 1,
                  use_numpy: bool | None = None) -> bytes:
     """Encrypt/decrypt ``data`` (XOR with keystream starting at ``counter``).
 
-    ``use_numpy=None`` picks the path by block count: the optimized
-    dispatch crosses over at :data:`SCALAR_MAX_BLOCKS`; the legacy
-    configuration (``perf.FLAGS.chacha_vector`` off) keeps the original
-    4-block threshold and the lane-per-block implementation.
+    ``use_numpy=None`` picks the path by block count, crossing over at
+    :data:`SCALAR_MAX_BLOCKS`.
     """
     if not data:
         return b""
     n_blocks = (len(data) + 63) // 64
-    if use_numpy is None:
-        if perf.FLAGS.chacha_vector:
-            use_numpy = n_blocks > SCALAR_MAX_BLOCKS
-        else:
-            use_numpy = n_blocks >= _LEGACY_NUMPY_MIN_BLOCKS
     stream = keystream(key, counter, nonce, n_blocks, use_numpy=use_numpy)
     buf = np.frombuffer(data, dtype=np.uint8) ^ np.frombuffer(
         stream[: len(data)], dtype=np.uint8

@@ -22,7 +22,6 @@ transport, and the connect/receive/close lifecycle hooks.
 
 from __future__ import annotations
 
-import warnings
 from contextlib import nullcontext
 from typing import Callable, Mapping
 
@@ -149,14 +148,6 @@ class Endpoint:
         if on_close is not None:
             self._on_close = on_close
         return self
-
-    def install_wire_boundary(self) -> None:
-        """Deprecated alias for ``configure(wire=True)``."""
-        warnings.warn(
-            "Endpoint.install_wire_boundary() is deprecated; use "
-            "Endpoint.configure(wire=True)",
-            DeprecationWarning, stacklevel=2)
-        self.configure(wire=True)
 
     def close(self) -> None:
         """Detach from the transport and drain in-flight state.

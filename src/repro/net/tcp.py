@@ -164,7 +164,7 @@ class TcpTransport:
 
     def corked(self):
         """Batch every send inside the context into shared wire units."""
-        if self.scheduler is None or not linkq.FLAGS.frame_batching:
+        if self.scheduler is None:
             return nullcontext()
         return self.scheduler.corked()
 
@@ -223,6 +223,21 @@ class TcpTransport:
     async def _serve_connection(self, address: str, state: _EndpointState,
                                 reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter) -> None:
+        """Serve one inbound connection until it closes.
+
+        Cancellation (transport shutdown) ends the task quietly: the
+        stream server's done-callback reads ``task.exception()``, which
+        for a cancelled task raises and makes asyncio log a
+        ``CancelledError`` traceback.
+        """
+        try:
+            await self._read_connection(address, state, reader, writer)
+        except asyncio.CancelledError:
+            pass
+
+    async def _read_connection(self, address: str, state: _EndpointState,
+                               reader: asyncio.StreamReader,
+                               writer: asyncio.StreamWriter) -> None:
         state.inbound.add(writer)
         write_lock = asyncio.Lock()
         peer_src: str | None = None
@@ -336,6 +351,12 @@ class TcpTransport:
         host, port = self.location(dst)
         reader, writer = await asyncio.wait_for(
             asyncio.open_connection(host, port), self.connect_timeout)
+        # A concurrent caller may have connected while this one awaited;
+        # a second pooled conn would orphan the first and its requests.
+        conn = self._conns.get(key)
+        if conn is not None and not conn.writer.is_closing():
+            writer.close()
+            return conn
         conn = _Conn(src, dst, reader, writer)
         conn.reader_task = asyncio.ensure_future(self._conn_reader(conn))
         self._conns[key] = conn
@@ -445,7 +466,7 @@ class TcpTransport:
             return False
         src, dst, payload = out.src, out.dst, out.payload
         scheduler = self.scheduler
-        if scheduler is None or not linkq.FLAGS.frame_batching:
+        if scheduler is None:
             return self._wire_send(src, dst, framing.KIND_DATA, payload)
         # coalesce=None: the idle heuristic — a quiet link flushes this
         # frame immediately, a busy one queues behind the adaptive timer.
@@ -460,7 +481,7 @@ class TcpTransport:
         if out is None or out.dst not in self._directory:
             raise NetworkError(f"request from {src!r} to {dst!r} was dropped")
         dst, payload = out.dst, out.payload
-        if self.scheduler is not None and linkq.FLAGS.frame_batching:
+        if self.scheduler is not None:
             # Ordering barrier: datagrams queued to this link must hit
             # the wire before the request does.
             self.scheduler.flush_link(src, dst)

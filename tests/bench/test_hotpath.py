@@ -1,37 +1,33 @@
-"""E-HOTPATH harness: stage timings, the A/B probe, gates and tables."""
+"""E-HOTPATH harness: stage timings, the layer ladder, gates and tables."""
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from repro.bench import profile
+from repro.crypto import aead, resume
+
+REPO = Path(__file__).resolve().parents[2]
 
 
-def _tiny_document(speedup: float = 2.5, all_passed: bool = True) -> dict:
-    """A synthetic BENCH_HOTPATH document for gate/table unit tests."""
+def _tiny_document(ratio: float = 5.0, all_passed: bool = True) -> dict:
+    """A synthetic BENCH_HOTPATH document for gate/table unit tests;
+    ``ratio`` is the gated layer's cost over ``plain``."""
+    def row(layer: str, ms: float) -> dict:
+        return {"layer": layer, "msgs_per_sec": 1e3 / ms, "ms_per_msg": ms,
+                "x_vs_plain": ms, "x_vs_plain_q1": ms * 0.9,
+                "x_vs_plain_q3": ms * 1.1, "trials": 5, "messages": 5,
+                "delivered": 5}
+
     return {
         "experiment": "E-HOTPATH",
-        "speedup_target": profile.HOTPATH_SPEEDUP_TARGET,
-        "steady_state": {
-            "legacy": {"msgs_per_sec": 100.0, "ms_per_msg": 10.0,
-                       "messages": 5, "delivered": 5},
-            "optimized": {"msgs_per_sec": 100.0 * speedup,
-                          "ms_per_msg": 10.0 / speedup,
-                          "messages": 5, "delivered": 5},
-            "speedup": speedup,
-        },
-        "layers": [
-            {"layer": "plain", "msgs_per_sec": 1000.0, "ms_per_msg": 1.0,
-             "x_vs_plain": 1.0, "messages": 5, "delivered": 5},
-            {"layer": "+secure resumed", "msgs_per_sec": 200.0,
-             "ms_per_msg": 5.0, "x_vs_plain": 5.0,
-             "messages": 5, "delivered": 5},
-        ],
+        "layers": [row("plain", 1.0), row(profile.GATED_LAYER, ratio)],
         "checks": {"all_passed": all_passed,
-                   "speedup_at_least_2x": all_passed},
+                   "all_delivered": all_passed},
     }
 
 
@@ -41,12 +37,8 @@ class TestStages:
         names = [row["stage"] for row in stages]
         assert len(names) == len(set(names))
         for row in stages:
-            assert row["flag"] in (
-                "wire_cache", "compiled_decoders", "ring_memo",
-                "interned_metrics", "chacha_vector")
-            assert row["legacy_us"] > 0
-            assert row["optimized_us"] > 0
-            assert row["speedup"] > 0
+            assert set(row) == {"stage", "us"}
+            assert row["us"] > 0
 
     def test_stage_report_covers_every_layer(self):
         stages = {row["stage"] for row in profile.stage_report(repeats=20)}
@@ -55,28 +47,21 @@ class TestStages:
             assert any(fragment in stage for stage in stages), fragment
 
 
-class TestSteadyState:
-    def test_ab_probe_structure_and_delivery(self):
-        steady = profile.steady_state_ab(messages=6)
-        for mode in ("legacy", "optimized"):
-            stats = steady[mode]
-            assert stats["delivered"] == stats["messages"] == 6
-            assert stats["msgs_per_sec"] > 0
-            assert stats["resumed_frames"] >= 6
-        assert steady["speedup"] > 0
-
-
 class TestLayerLadder:
     def test_ladder_rows_and_normalization(self):
-        rows = profile.layer_ladder(messages=4)
+        rows = profile.layer_ladder(messages=4, trials=3)
         assert [row["layer"] for row in rows] == [
             "plain", "+wire", "+obs", "+secure (stateless)",
-            "+secure resumed"]
+            profile.GATED_LAYER]
         assert rows[0]["x_vs_plain"] == pytest.approx(1.0)
         for row in rows:
-            assert row["delivered"] == row["messages"] == 4
+            assert row["trials"] == 3
+            assert row["delivered"] == row["messages"] == 12
+            assert row["x_vs_plain_q1"] <= row["x_vs_plain"] \
+                <= row["x_vs_plain_q3"]
         # security dominates the ladder: secure rows cost multiples of plain
         assert rows[3]["x_vs_plain"] > 2.0
+        assert profile.gated_ratio({"layers": rows}) == rows[4]["x_vs_plain"]
 
 
 class TestRegressionGate:
@@ -85,14 +70,15 @@ class TestRegressionGate:
         assert profile.check_regression(doc, doc) == []
 
     def test_regressed_speedup_fails(self):
-        baseline = _tiny_document(speedup=2.5)
-        fresh = _tiny_document(speedup=2.5 * 0.7)  # 30% drop > 20% tolerance
+        """The resumed path losing 21 % of its speed relative to plain."""
+        baseline = _tiny_document(ratio=5.0)
+        fresh = _tiny_document(ratio=5.0 * 1.21)  # just past the 20% band
         problems = profile.check_regression(fresh, baseline)
         assert any("regressed" in p for p in problems)
 
     def test_drop_within_tolerance_passes(self):
-        baseline = _tiny_document(speedup=2.5)
-        fresh = _tiny_document(speedup=2.5 * 0.85)  # 15% drop
+        baseline = _tiny_document(ratio=5.0)
+        fresh = _tiny_document(ratio=5.0 * 1.15)
         assert profile.check_regression(fresh, baseline) == []
 
     def test_failed_checks_fail_the_gate(self):
@@ -103,12 +89,31 @@ class TestRegressionGate:
     def test_gate_cli(self, tmp_path):
         fresh = tmp_path / "fresh.json"
         base = tmp_path / "base.json"
-        fresh.write_text(json.dumps(_tiny_document(2.4)))
-        base.write_text(json.dumps(_tiny_document(2.5)))
+        fresh.write_text(json.dumps(_tiny_document(5.5)))
+        base.write_text(json.dumps(_tiny_document(5.0)))
         assert profile.gate(str(fresh), str(base)) == 0
-        fresh.write_text(json.dumps(_tiny_document(1.5)))
+        fresh.write_text(json.dumps(_tiny_document(7.5)))
         assert profile.gate(str(fresh), str(base)) == 1
         assert profile.gate(str(tmp_path / "missing.json"), str(base)) == 2
+
+    def test_slowed_resumed_aead_trips_the_gate(self, monkeypatch):
+        """A real ladder whose resumed frames pay five AEAD passes each
+        fails against the committed baseline."""
+        def slow(fn):
+            def run(*args, **kwargs):
+                for _ in range(4):
+                    fn(*args, **kwargs)
+                return fn(*args, **kwargs)
+            return run
+
+        monkeypatch.setattr(resume, "aead", SimpleNamespace(
+            seal=slow(aead.seal), open_=slow(aead.open_)))
+        rows = profile.layer_ladder(messages=10, trials=3)
+        fresh = {"layers": rows, "checks": profile._checks(rows)}
+        baseline = json.loads(
+            (REPO / profile.BASELINE_PATH).read_text(encoding="utf-8"))
+        problems = profile.check_regression(fresh, baseline)
+        assert any("cost ratio regressed" in p for p in problems), problems
 
 
 class TestLayerTableDocs:
@@ -127,7 +132,7 @@ class TestLayerTableDocs:
             f"# perf\n\n{profile.BEGIN_MARK}\n{table}{profile.END_MARK}\n")
         assert profile.check_docs(str(doc), str(baseline)) == 0
         # drift the baseline -> the embedded table no longer matches
-        baseline.write_text(json.dumps(_tiny_document(speedup=3.0)))
+        baseline.write_text(json.dumps(_tiny_document(ratio=3.0)))
         assert profile.check_docs(str(doc), str(baseline)) == 1
         # no marker section at all
         doc.write_text("# perf, no markers\n")
@@ -135,7 +140,7 @@ class TestLayerTableDocs:
 
     def test_update_docs_rewrites_section(self, tmp_path):
         baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps(_tiny_document(speedup=3.0)))
+        baseline.write_text(json.dumps(_tiny_document(ratio=3.0)))
         doc = tmp_path / "PERF.md"
         doc.write_text(f"intro\n{profile.BEGIN_MARK}\nstale\n"
                        f"{profile.END_MARK}\noutro\n")
@@ -148,16 +153,13 @@ class TestLayerTableDocs:
 class TestCommittedArtifacts:
     """The repo's own baseline and docs must satisfy the gates."""
 
-    REPO = Path(__file__).resolve().parents[2]
-
     def test_committed_baseline_passes_its_checks(self):
         baseline = json.loads(
-            (self.REPO / profile.BASELINE_PATH).read_text(encoding="utf-8"))
+            (REPO / profile.BASELINE_PATH).read_text(encoding="utf-8"))
         assert baseline["checks"]["all_passed"]
-        assert baseline["steady_state"]["speedup"] \
-            >= profile.HOTPATH_SPEEDUP_TARGET
+        assert profile.check_regression(baseline, baseline) == []
 
     def test_performance_doc_matches_committed_baseline(self):
         assert profile.check_docs(
-            str(self.REPO / profile.PERFORMANCE_DOC),
-            str(self.REPO / profile.BASELINE_PATH)) == 0
+            str(REPO / profile.PERFORMANCE_DOC),
+            str(REPO / profile.BASELINE_PATH)) == 0

@@ -125,20 +125,18 @@ class TestEndToEndRevocation:
 
         Revoke WITHOUT disconnecting so bob's advertisement stays in
         alice's cache: the rejection must come from the validator's
-        revocation check on the cache-hit path.  The validator digest
-        cache is exercised with the pipe-validation memo disabled so
-        cache hits land there rather than in the memo above it."""
-        from repro import perf
-
+        revocation check on the cache-hit path.  The validator is called
+        directly, so its digest cache is hit rather than the client's
+        validated-pipe memo above it."""
         w = joined_secure_world
-        with perf.flags(pipe_validation_memo=False):
-            for i in range(3):  # warm alice's validation cache on bob
-                w.alice.secure_msg_peer(str(w.bob.peer_id), "students", f"m{i}")
-            assert w.alice.validator.cache_hits > 0
-            w.broker.revocations.revoke(str(w.bob.peer_id))
-            w.broker.publish_revocations()
-            with pytest.raises(RevokedCredentialError):
-                w.alice.secure_msg_peer(str(w.bob.peer_id), "students", "cached?")
+        element = w.alice._resolve_pipe(str(w.bob.peer_id), "students")
+        for _ in range(3):  # warm alice's validation cache on bob
+            w.alice.validator.validate(element, w.alice.clock.now)
+        assert w.alice.validator.cache_hits > 0
+        w.broker.revocations.revoke(str(w.bob.peer_id))
+        w.broker.publish_revocations()
+        with pytest.raises(RevokedCredentialError):
+            w.alice.validator.validate(element, w.alice.clock.now)
 
     def test_revocation_respects_pipe_memo(self, joined_secure_world):
         """The validated-pipe memo must not shield a revoked peer either.

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import aead
+from repro.crypto.chacha20 import chacha20_block, chacha20_xor
 from repro.errors import InvalidTagError
 
 KEY = bytes(range(0x80, 0xA0))
@@ -38,6 +39,17 @@ class TestOracle:
         ours = aead.seal(key, nonce, plaintext, aad)
         assert ours == theirs
         assert aead.open_(key, nonce, theirs, aad) == plaintext
+
+
+class TestFusedKeystream:
+    @pytest.mark.parametrize("n", [0, 1, 64, 65, 511, 512, 513, 2000])
+    def test_matches_two_call_construction(self, n):
+        """One keystream call yields RFC 8439's block-0 one-time key and
+        the counter-1 message stream."""
+        data = os.urandom(n)
+        otk, xored = aead._otk_and_xor(KEY, NONCE, data)
+        assert otk == chacha20_block(KEY, 0, NONCE)[:32]
+        assert xored == chacha20_xor(KEY, NONCE, data, counter=1)
 
 
 class TestTamperRejection:

@@ -7,7 +7,7 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.chacha20 import chacha20_block, chacha20_xor
+from repro.crypto.chacha20 import _keystream_rows, chacha20_block, chacha20_xor
 
 KEY = bytes(range(32))
 NONCE = bytes.fromhex("000000090000004a00000000")
@@ -58,6 +58,26 @@ class TestScalarNumpyEquivalence:
         scalar = chacha20_xor(KEY, NONCE, data, counter=counter, use_numpy=False)
         vector = chacha20_xor(KEY, NONCE, data, counter=counter, use_numpy=True)
         assert scalar == vector
+
+
+class TestRowKeystream:
+    """The vectorized row formulation against the RFC block function."""
+
+    @staticmethod
+    def _blocks(counter: int, n_blocks: int) -> bytes:
+        return b"".join(chacha20_block(KEY, counter + i, NONCE)
+                        for i in range(n_blocks))
+
+    @pytest.mark.parametrize("n_blocks", range(1, 21))
+    def test_matches_block_function(self, n_blocks):
+        assert _keystream_rows(KEY, 7, NONCE, n_blocks) \
+            == self._blocks(7, n_blocks)
+
+    @pytest.mark.parametrize("counter", [2**32 - 1, 2**32 - 5])
+    def test_matches_across_counter_wrap(self, counter):
+        # the block counter is 32 bits: blocks past 2**32 - 1 restart at 0
+        assert _keystream_rows(KEY, counter, NONCE, 12) \
+            == self._blocks(counter, 12)
 
 
 class TestOracle:

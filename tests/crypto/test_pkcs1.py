@@ -64,6 +64,13 @@ class TestEncryptV15:
         with pytest.raises(DecryptionError):
             pkcs1.decrypt_v15(kp512_b.private, ct)
 
+    @pytest.mark.parametrize("decrypt", [pkcs1.decrypt_v15, pkcs1.decrypt_oaep])
+    def test_out_of_range_ciphertext_is_a_decryption_error(self, kp1024,
+                                                           decrypt):
+        k = kp1024.public.byte_length
+        with pytest.raises(DecryptionError):
+            decrypt(kp1024.private, b"\xff" * k)
+
 
 class TestEncryptOaep:
     @settings(max_examples=10, deadline=None)

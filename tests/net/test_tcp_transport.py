@@ -8,6 +8,7 @@ the drain-on-unregister guarantees ``Endpoint.close()`` relies on.
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 
@@ -132,6 +133,28 @@ class TestRequests:
         slow.join(5.0)
         assert results["slow"] == b"slow"
 
+    def test_concurrent_first_requests_share_one_connection(self, tcp):
+        """Callers racing to open the same link end up on one pooled
+        connection, so no request rides an orphaned one."""
+        connected: list[str] = []
+        tcp.register("svc", lambda frame: frame.payload,
+                     on_connect=connected.append)
+        start = threading.Barrier(8)
+        results: list[bytes] = []
+
+        def call(i):
+            start.wait(5.0)
+            results.append(tcp.request("peer:a", "svc", b"%d" % i))
+
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(results) == sorted(b"%d" % i for i in range(8))
+        assert connected == ["peer:a"]
+
     def test_nested_request_from_inside_a_handler(self, tcp):
         """The federation-handshake shape: the responder calls back into
         the still-blocked initiator mid-request."""
@@ -232,6 +255,28 @@ class TestClose:
         tcp.register("a", lambda frame: None)
         tcp.close()
         tcp.close()
+
+    def test_close_mid_on_close_hook_logs_no_traceback(self, caplog):
+        """Closing while a connection's ``on_close`` hook still runs
+        cancels that connection task; asyncio must log nothing."""
+        hook_entered = threading.Event()
+        release = threading.Event()
+
+        def on_close(peer):
+            hook_entered.set()
+            release.wait(5.0)
+
+        tcp = TcpTransport()
+        tcp.register("svc", lambda frame: None, on_close=on_close)
+        tcp.register("peer:a", lambda frame: None)
+        tcp.send("peer:a", "svc", b"open the connection")
+        tcp.unregister("peer:a")      # the peer hangs up: the hook starts
+        assert hook_entered.wait(5.0)
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            tcp.close()               # cancels the task awaiting the hook
+            release.set()
+            time.sleep(0.1)
+        assert [r for r in caplog.records if r.name == "asyncio"] == []
 
     def test_context_manager(self):
         with TcpTransport() as tcp:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import OverlayError
-from repro.overlay.events import EVENT_CATALOGUE, EventBus
+from repro.overlay.events import EVENT_CATALOGUE, HISTORY_MAX, EventBus
 from repro.overlay.primitives import CATALOGUE, catalogue_by_category, secure_variants
 
 
@@ -42,7 +42,17 @@ class TestEventBus:
         bus.emit("logged_in", username="u", groups=[])
         assert bus.events_named("connected") == [{"broker": "b"}]
         bus.clear_history()
-        assert bus.history == []
+        assert not bus.history
+
+    def test_history_is_bounded(self):
+        bus = EventBus()
+        for i in range(HISTORY_MAX + 10):
+            bus.emit("presence_update", seq=i)
+        assert len(bus.history) == HISTORY_MAX
+        # the oldest events fell off; the newest are kept in order
+        assert bus.events_named("presence_update")[-1] == {
+            "seq": HISTORY_MAX + 9}
+        assert bus.events_named("presence_update")[0] == {"seq": 10}
 
     def test_multiple_listeners_all_called(self):
         bus = EventBus()

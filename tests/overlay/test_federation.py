@@ -107,14 +107,12 @@ class TestRingMemo:
         assert fresh == {k: ring.owner_uncached(k) for k in self.KEYS}
         assert any(stale[k] == "broker:2" != fresh[k] for k in self.KEYS)
 
-    def test_flag_off_bypasses_cache(self):
-        from repro import perf
-
+    def test_reference_lookup_bypasses_cache(self):
+        """``owner_uncached`` (the oracle) never reads or fills the memo."""
         ring = self._ring()
-        with perf.flags(ring_memo=False):
-            for k in self.KEYS:
-                ring.owner(k)
-            assert not ring._owner_cache
+        for k in self.KEYS:
+            ring.owner_uncached(k)
+        assert not ring._owner_cache
 
     def test_cache_capped(self):
         ring = self._ring()
