@@ -13,7 +13,13 @@ from dataclasses import dataclass, field
 from repro import obs
 from repro.bench import fixtures
 from repro.bench.baselines import CbjxEchoPair, TlsClientDriver, TlsEchoServer
-from repro.bench.timing import mean_total, overhead_pct, repeat_timed, timed_call
+from repro.bench.timing import (
+    mean_total,
+    overhead_pct,
+    paired_timed,
+    repeat_timed,
+    timed_call,
+)
 from repro.core.policy import DEFAULT_POLICY, SecurityPolicy
 from repro.crypto.drbg import HmacDrbg
 from repro.sim.latency import LAN_2009, LinkModel
@@ -116,8 +122,15 @@ def msg_overhead_curve(sizes: tuple[int, ...] = DEFAULT_SIZES,
 
     One warmed-up world per variant; the secure path is measured in its
     steady state (advertisements validated and cached), matching a running
-    chat session — the scenario Figure 2 describes.
+    chat session — the scenario Figure 2 describes.  Figure 2 prices the
+    paper's stateless primitive, one RSA sign + envelope per message, so
+    resumption is switched off here whatever ``policy`` says: a resumed
+    session has no per-message RSA, the fixed cost the figure is about.
+    E-MSGFAST and perfbench's ``chat`` workload measure the resumed send.
+    Plain and secure sends alternate (:func:`paired_timed`), so both
+    sides of each overhead ratio see the same host load.
     """
+    policy = policy.with_(enable_resumption=False)
     net, broker, clients = fixtures.build_plain_world(
         n_clients=2, link=link, seed=b"e2-plain")
     fixtures.join_plain(clients)
@@ -131,12 +144,11 @@ def msg_overhead_curve(sizes: tuple[int, ...] = DEFAULT_SIZES,
                              rsa_bits=policy.rsa_bits)
     for size in sizes:
         text = "x" * size
-        plain = repeat_timed(
-            net, lambda: alice.send_msg_peer(str(bob.peer_id), "bench", text),
-            repeats=repeats, cpu_scale=cpu_scale, name=f"e2.plain_msg.{size}")
-        secure = repeat_timed(
-            snet, lambda: salice.secure_msg_peer(str(sbob.peer_id), "bench", text),
-            repeats=repeats, cpu_scale=cpu_scale, name=f"e2.secure_msg.{size}")
+        plain, secure = paired_timed(
+            (net, lambda: alice.send_msg_peer(str(bob.peer_id), "bench", text)),
+            (snet, lambda: salice.secure_msg_peer(str(sbob.peer_id), "bench", text)),
+            repeats=repeats, cpu_scale=cpu_scale,
+            names=(f"e2.plain_msg.{size}", f"e2.secure_msg.{size}"))
         plain_s = mean_total(plain)
         secure_s = mean_total(secure)
         curve.points.append(MsgOverheadPoint(

@@ -53,9 +53,12 @@ def timed_call(network: SimNetwork, fn: Callable[[], object],
         cpu_scale=cpu_scale,
     )
     if name is not None:
-        obs.get_registry().observe(f"bench.{name}.total_ms",
-                                   timing.total_s * 1e3)
+        _record(name, timing)
     return timing
+
+
+def _record(name: str, timing: OpTiming) -> None:
+    obs.get_registry().observe(f"bench.{name}.total_ms", timing.total_s * 1e3)
 
 
 def repeat_timed(network: SimNetwork, fn: Callable[[], object],
@@ -66,6 +69,42 @@ def repeat_timed(network: SimNetwork, fn: Callable[[], object],
         fn()
     return [timed_call(network, fn, cpu_scale, name=name)
             for _ in range(repeats)]
+
+
+#: calls per side behind each :func:`paired_timed` sample
+PAIRED_BEST_OF = 9
+
+
+def paired_timed(a: tuple[SimNetwork, Callable[[], object]],
+                 b: tuple[SimNetwork, Callable[[], object]],
+                 repeats: int, cpu_scale: float = 1.0,
+                 names: tuple[str | None, str | None] = (None, None)
+                 ) -> tuple[list[OpTiming], list[OpTiming]]:
+    """Measure two operations whose ratio is the result, as ``(a, b)``.
+
+    After one warm-up call each, calls alternate a, b, a, b, ... and each
+    of the ``repeats`` samples per side is the fastest of
+    :data:`PAIRED_BEST_OF` calls.  A change in host load then hits both
+    sides alike instead of skewing their ratio, and a sub-millisecond
+    sample is not one scheduler hiccup.  Only the kept samples are
+    recorded under ``names``.
+    """
+    (net_a, fn_a), (net_b, fn_b) = a, b
+    fn_a()
+    fn_b()
+    kept_a: list[OpTiming] = []
+    kept_b: list[OpTiming] = []
+    for _ in range(repeats):
+        runs = [(timed_call(net_a, fn_a, cpu_scale),
+                 timed_call(net_b, fn_b, cpu_scale))
+                for _ in range(PAIRED_BEST_OF)]
+        kept_a.append(min((ta for ta, _ in runs), key=lambda t: t.total_s))
+        kept_b.append(min((tb for _, tb in runs), key=lambda t: t.total_s))
+    for name, kept in zip(names, (kept_a, kept_b)):
+        if name is not None:
+            for timing in kept:
+                _record(name, timing)
+    return kept_a, kept_b
 
 
 def mean_total(timings: list[OpTiming]) -> float:

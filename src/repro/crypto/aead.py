@@ -35,8 +35,8 @@ def _otk_and_xor(key: bytes, nonce: bytes, data: bytes) -> tuple[bytes, bytes]:
     """The Poly1305 one-time key plus ``data`` XOR keystream(counter=1..).
 
     Block 0 (the OTK) and the message blocks come from **one** keystream
-    call, so the vectorized batch amortizes the block function over the
-    whole operation.
+    call, so the batched kernel amortizes its fixed cost over the whole
+    operation.
     """
     n_blocks = (len(data) + 63) // 64
     stream = keystream(key, 0, nonce, n_blocks + 1)

@@ -11,7 +11,7 @@ the classic hybrid envelope:
 
 Two symmetric suites are supported, selectable per envelope (ablation A2):
 
-* ``chacha20poly1305`` — authenticated, numpy-accelerated (default),
+* ``chacha20poly1305`` — authenticated, batched keystream (default),
 * ``aes128-cbc`` / ``aes256-cbc`` — the paper-era JCE-style suite.
 
 The envelope is a self-describing dict so it can be embedded in XML or

@@ -7,6 +7,11 @@ credential validity windows and circuit breakers run unchanged — the
 only behavioural difference is that :meth:`advance` (retry backoff)
 really sleeps, and :meth:`cpu_section` measures without advancing
 anything (the wall does that on its own).
+
+``now`` is the host's ``time.monotonic()``, with no per-instance zero:
+every transport on one host, in any process, reads the same clock, so a
+credential one process issues with ``not_before = now`` is already valid
+in every other.
 """
 
 from __future__ import annotations
@@ -17,10 +22,9 @@ from typing import Iterator
 
 
 class WallClock:
-    """Monotonic wall time, zeroed at construction."""
+    """Host-wide monotonic wall time."""
 
     def __init__(self) -> None:
-        self._t0 = time.monotonic()
         self.cpu_scale = 1.0
         #: cumulative seconds *accounted* as CPU work (informational)
         self.cpu_time = 0.0
@@ -29,7 +33,7 @@ class WallClock:
 
     @property
     def now(self) -> float:
-        return time.monotonic() - self._t0
+        return time.monotonic()
 
     def advance(self, seconds: float) -> float:
         """A requested wait (retry backoff) really sleeps."""
@@ -59,6 +63,6 @@ class WallClock:
             self.charge_cpu(time.perf_counter() - t0)
 
     def reset(self) -> None:
-        self._t0 = time.monotonic()
+        """Clear the accounting; ``now`` stays on the host clock."""
         self.cpu_time = 0.0
         self.network_time = 0.0

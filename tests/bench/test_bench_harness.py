@@ -6,8 +6,16 @@ full-scale runs live in ``benchmarks/``.
 
 import pytest
 
+from repro import obs
 from repro.bench import fixtures
-from repro.bench.timing import OpTiming, mean_total, overhead_pct, timed_call
+from repro.bench.timing import (
+    PAIRED_BEST_OF,
+    OpTiming,
+    mean_total,
+    overhead_pct,
+    paired_timed,
+    timed_call,
+)
 from repro.core.policy import SecurityPolicy
 from repro.crypto import envelope
 from repro.sim import SimNetwork, VirtualClock
@@ -40,6 +48,38 @@ class TestTimingMath:
         timing = timed_call(net, lambda: net.send("src", "dst", b"x" * 1000))
         assert timing.network_s > 0
         assert timing.wall_cpu_s >= 0
+
+    def test_paired_timed_alternates_and_keeps_the_fastest(self):
+        net = SimNetwork(clock=VirtualClock())
+        net.register("dst", lambda f: None)
+        calls = []
+        # the network model makes a 100 kB frame far slower than a 1 B one;
+        # after one warm-up call each, one timed call per side sends 1 B
+        a_sizes = [9] + [100_000] * PAIRED_BEST_OF
+        b_sizes = [9] + [50_000] * PAIRED_BEST_OF
+        a_sizes[2] = b_sizes[-1] = 1
+        sizes = {"a": iter(a_sizes), "b": iter(b_sizes)}
+
+        def op(side):
+            def send():
+                calls.append(side)
+                net.send("src", "dst", b"x" * next(sizes[side]))
+            return send
+
+        saved = obs.get_registry()
+        registry = obs.set_registry(obs.Registry(enabled=True))
+        try:
+            kept_a, kept_b = paired_timed((net, op("a")), (net, op("b")),
+                                          repeats=1, names=("pair.a", None))
+        finally:
+            obs.set_registry(saved)
+        assert calls == ["a", "b"] * (1 + PAIRED_BEST_OF)
+        small = timed_call(net, lambda: net.send("src", "dst", b"x"))
+        assert len(kept_a) == len(kept_b) == 1
+        assert kept_a[0].network_s == pytest.approx(small.network_s)
+        assert kept_b[0].network_s == pytest.approx(small.network_s)
+        # only the kept sample is recorded
+        assert registry.histogram("bench.pair.a.total_ms").count == 1
 
 
 class TestFixtures:

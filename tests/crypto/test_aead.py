@@ -8,11 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import aead
-from repro.crypto.chacha20 import chacha20_block, chacha20_xor
+from repro.crypto.chacha20 import PACKED_MAX_BLOCKS, chacha20_block, chacha20_xor
 from repro.errors import InvalidTagError
 
 KEY = bytes(range(0x80, 0xA0))
 NONCE = bytes.fromhex("070000004041424344454647")
+
+#: the longest plaintext whose one-time-key block plus message blocks
+#: still take the packed-integer keystream kernel
+PACKED_MAX_PLAINTEXT = 64 * (PACKED_MAX_BLOCKS - 1)
+CROSSOVER_SIZES = [PACKED_MAX_PLAINTEXT - 1, PACKED_MAX_PLAINTEXT,
+                   PACKED_MAX_PLAINTEXT + 1]
 
 
 class TestRfc8439Vector:
@@ -40,9 +46,21 @@ class TestOracle:
         assert ours == theirs
         assert aead.open_(key, nonce, theirs, aad) == plaintext
 
+    @pytest.mark.parametrize("size", CROSSOVER_SIZES)
+    def test_at_kernel_crossover(self, size):
+        """Seal matches the oracle and open_ round-trips on both sides of
+        the keystream kernel crossover."""
+        key = os.urandom(32)
+        nonce = os.urandom(12)
+        plaintext = os.urandom(size)
+        theirs = ChaCha20Poly1305(key).encrypt(nonce, plaintext, b"aad")
+        assert aead.seal(key, nonce, plaintext, b"aad") == theirs
+        assert aead.open_(key, nonce, theirs, b"aad") == plaintext
+
 
 class TestFusedKeystream:
-    @pytest.mark.parametrize("n", [0, 1, 64, 65, 511, 512, 513, 2000])
+    @pytest.mark.parametrize("n", [0, 1, 64, 65, 511, 512, 513, 2000,
+                                   *CROSSOVER_SIZES])
     def test_matches_two_call_construction(self, n):
         """One keystream call yields RFC 8439's block-0 one-time key and
         the counter-1 message stream."""

@@ -1,4 +1,4 @@
-"""ChaCha20: RFC 8439 vectors, scalar/numpy equivalence, oracle check."""
+"""ChaCha20: RFC 8439 vectors, packed-int/numpy kernel equivalence, oracle check."""
 
 import os
 
@@ -7,10 +7,34 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.chacha20 import _keystream_rows, chacha20_block, chacha20_xor
+from repro.crypto.chacha20 import (
+    PACKED_MAX_BLOCKS,
+    _keystream_packed,
+    _keystream_rows,
+    chacha20_block,
+    chacha20_xor,
+)
 
 KEY = bytes(range(32))
 NONCE = bytes.fromhex("000000090000004a00000000")
+
+
+def _blocks(counter: int, n_blocks: int) -> bytes:
+    """The reference: ``n_blocks`` RFC block-function outputs, concatenated."""
+    return b"".join(chacha20_block(KEY, counter + i, NONCE)
+                    for i in range(n_blocks))
+
+
+#: every block count up to just past the kernel crossover
+BLOCK_COUNTS = range(1, PACKED_MAX_BLOCKS + 3)
+#: one reference stream from counter 7, sliced per block count
+REFERENCE = _blocks(7, BLOCK_COUNTS[-1])
+
+
+def _oracle_xor(key: bytes, nonce: bytes, data: bytes, counter: int) -> bytes:
+    # cryptography's ChaCha20 takes a 16-byte nonce: counter || nonce
+    full = counter.to_bytes(4, "little") + nonce
+    return Cipher(algorithms.ChaCha20(key, full), mode=None).encryptor().update(data)
 
 
 class TestBlockFunction:
@@ -42,42 +66,53 @@ class TestBlockFunction:
         with pytest.raises(ValueError):
             chacha20_block(KEY, 0, b"short")
 
+    def test_xor_rejects_bad_key_and_nonce(self):
+        with pytest.raises(ValueError):
+            chacha20_xor(b"short", NONCE, b"data")
+        with pytest.raises(ValueError):
+            chacha20_xor(KEY, b"short", b"data")
+
 
 class TestScalarNumpyEquivalence:
+    """The pure-Python packed-integer kernel against the numpy one."""
+
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 256, 1000, 4096])
     def test_paths_agree(self, n):
-        data = os.urandom(n)
         nonce = os.urandom(12)
-        scalar = chacha20_xor(KEY, nonce, data, use_numpy=False)
-        vector = chacha20_xor(KEY, nonce, data, use_numpy=True)
-        assert scalar == vector
+        n_blocks = (n + 63) // 64
+        assert _keystream_packed(KEY, 1, nonce, n_blocks) \
+            == _keystream_rows(KEY, 1, nonce, n_blocks)
 
     @settings(max_examples=20, deadline=None)
-    @given(st.binary(min_size=1, max_size=2000), st.integers(min_value=0, max_value=2**31))
-    def test_paths_agree_property(self, data, counter):
-        scalar = chacha20_xor(KEY, NONCE, data, counter=counter, use_numpy=False)
-        vector = chacha20_xor(KEY, NONCE, data, counter=counter, use_numpy=True)
-        assert scalar == vector
+    @given(st.integers(min_value=1, max_value=40),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_paths_agree_property(self, n_blocks, counter):
+        assert _keystream_packed(KEY, counter, NONCE, n_blocks) \
+            == _keystream_rows(KEY, counter, NONCE, n_blocks)
 
 
 class TestRowKeystream:
-    """The vectorized row formulation against the RFC block function."""
+    """A batched kernel against the RFC block function."""
 
-    @staticmethod
-    def _blocks(counter: int, n_blocks: int) -> bytes:
-        return b"".join(chacha20_block(KEY, counter + i, NONCE)
-                        for i in range(n_blocks))
+    kernel = staticmethod(_keystream_rows)
 
-    @pytest.mark.parametrize("n_blocks", range(1, 21))
+    @pytest.mark.parametrize("n_blocks", BLOCK_COUNTS)
     def test_matches_block_function(self, n_blocks):
-        assert _keystream_rows(KEY, 7, NONCE, n_blocks) \
-            == self._blocks(7, n_blocks)
+        assert self.kernel(KEY, 7, NONCE, n_blocks) == REFERENCE[:64 * n_blocks]
+
+    @pytest.mark.parametrize("n_blocks", [300, 1564])
+    def test_matches_block_function_on_large_calls(self, n_blocks):
+        # 1564 blocks: a 100 kB message
+        assert self.kernel(KEY, 3, NONCE, n_blocks) == _blocks(3, n_blocks)
 
     @pytest.mark.parametrize("counter", [2**32 - 1, 2**32 - 5])
     def test_matches_across_counter_wrap(self, counter):
         # the block counter is 32 bits: blocks past 2**32 - 1 restart at 0
-        assert _keystream_rows(KEY, counter, NONCE, 12) \
-            == self._blocks(counter, 12)
+        assert self.kernel(KEY, counter, NONCE, 12) == _blocks(counter, 12)
+
+
+class TestPackedKeystream(TestRowKeystream):
+    kernel = staticmethod(_keystream_packed)
 
 
 class TestOracle:
@@ -85,10 +120,19 @@ class TestOracle:
         key = os.urandom(32)
         nonce = os.urandom(12)
         data = os.urandom(555)
-        # cryptography's ChaCha20 takes a 16-byte nonce: counter || nonce
-        full = (1).to_bytes(4, "little") + nonce
-        enc = Cipher(algorithms.ChaCha20(key, full), mode=None).encryptor()
-        assert chacha20_xor(key, nonce, data, counter=1) == enc.update(data)
+        assert chacha20_xor(key, nonce, data, counter=1) \
+            == _oracle_xor(key, nonce, data, 1)
+
+    @pytest.mark.parametrize("size", [64 * PACKED_MAX_BLOCKS - 1,
+                                      64 * PACKED_MAX_BLOCKS,
+                                      64 * PACKED_MAX_BLOCKS + 1])
+    def test_against_cryptography_at_crossover(self, size):
+        """``chacha20_xor`` on both sides of the kernel crossover."""
+        key = os.urandom(32)
+        nonce = os.urandom(12)
+        data = os.urandom(size)
+        assert chacha20_xor(key, nonce, data, counter=1) \
+            == _oracle_xor(key, nonce, data, 1)
 
 
 class TestProperties:
@@ -106,8 +150,7 @@ class TestProperties:
             KEY, NONCE, data, counter=2)
 
     def test_counter_wraps_32bit(self):
-        # the numpy path masks the counter to 32 bits; scalar must agree
+        # the counter is 32 bits: the stream continues at block 0
         data = b"\x00" * 130
         hi = 0xFFFFFFFF
-        assert chacha20_xor(KEY, NONCE, data, counter=hi, use_numpy=False) == \
-            chacha20_xor(KEY, NONCE, data, counter=hi, use_numpy=True)
+        assert chacha20_xor(KEY, NONCE, data, counter=hi) == _blocks(hi, 3)[:130]

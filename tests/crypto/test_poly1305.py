@@ -1,10 +1,19 @@
 """Poly1305 one-time MAC: RFC 8439 vectors and edge cases."""
 
+import os
+
 import pytest
+from cryptography.hazmat.primitives.poly1305 import Poly1305
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.poly1305 import poly1305_mac
+from repro.crypto.poly1305 import _LANES, PACKED_MIN_BLOCKS, poly1305_mac
+
+#: lengths on both sides of the packed path's threshold, one lane step
+#: past it, and with partial final blocks
+PACKED_LENGTHS = ([16 * PACKED_MIN_BLOCKS + d for d in (-1, 0, 1, 15, 16, 17)]
+                  + [16 * (PACKED_MIN_BLOCKS + _LANES) + d for d in (-16, 0, 5)]
+                  + [100_000])
 
 
 class TestVectors:
@@ -50,3 +59,19 @@ class TestProperties:
         key = bytes(range(32))
         tags = {poly1305_mac(key, b"a" * n) for n in (15, 16, 17, 31, 32, 33)}
         assert len(tags) == 6  # all distinct
+
+
+class TestPackedPath:
+    """The packed-integer path against the ``cryptography`` oracle."""
+
+    @pytest.mark.parametrize("size", PACKED_LENGTHS)
+    def test_matches_oracle(self, size):
+        key = os.urandom(32)
+        msg = os.urandom(size)
+        assert poly1305_mac(key, msg) == Poly1305.generate_tag(key, msg)
+
+    def test_all_ones_key_and_message(self):
+        # every lane at its largest value: the guard-bit bounds are tight
+        key = b"\xff" * 32
+        msg = b"\xff" * (16 * 4 * PACKED_MIN_BLOCKS + 7)
+        assert poly1305_mac(key, msg) == Poly1305.generate_tag(key, msg)

@@ -6,16 +6,24 @@ import time
 
 import pytest
 
+from repro.core import Administrator, SecureBroker, SecureClientPeer
+from repro.core.keystore import Keystore
+from repro.crypto.drbg import HmacDrbg
 from repro.net.clock import WallClock
+from repro.net.tcp import TcpTransport
 from repro.sim.clock import VirtualClock
+from tests.conftest import TEST_POLICY, cached_keypair
 
 
 class TestWallClock:
-    def test_zeroed_at_construction_and_monotonic(self):
-        clock = WallClock()
-        first = clock.now
-        assert first >= 0.0
-        assert clock.now >= first
+    def test_shares_the_host_clock_and_monotonic(self):
+        first = WallClock()
+        time.sleep(0.05)
+        second = WallClock()
+        # no per-instance zero: every clock reads the host's monotonic time
+        t0 = time.monotonic()
+        a, b = first.now, second.now
+        assert t0 <= a <= b <= time.monotonic()
 
     def test_advance_really_sleeps(self):
         clock = WallClock()
@@ -54,7 +62,38 @@ class TestWallClock:
         clock.advance_network(5.0)
         clock.reset()
         assert clock.cpu_time == 0.0 and clock.network_time == 0.0
-        assert clock.now < 1.0
+        # the accounting is cleared, the time is not
+        t0 = time.monotonic()
+        assert t0 <= clock.now <= time.monotonic()
+
+
+class TestTransportsStartedApart:
+    def test_secure_join_with_broker_transport_started_first(self):
+        """Credentials the broker's process issues are valid at once on a
+        client transport built 0.3 s later."""
+        root = HmacDrbg(b"wallclock-world")
+        admin = Administrator(root.fork(b"admin"),
+                              keys=cached_keypair(512, "admin"))
+        admin.register_user("alice", "pw-a", {"students"})
+        with TcpTransport(request_timeout=30.0) as broker_net:
+            broker = SecureBroker.create(
+                broker_net, "broker:0", admin, root.fork(b"br"), name="B0",
+                policy=TEST_POLICY, keys=cached_keypair(512, "broker"))
+            time.sleep(0.3)
+            with TcpTransport(request_timeout=30.0) as client_net:
+                alice = SecureClientPeer(
+                    client_net, "peer:alice", root.fork(b"al"),
+                    admin.credential, name="alice-app", policy=TEST_POLICY,
+                    keystore=Keystore(cached_keypair(512, "client-alice")))
+                client_net.add_route("broker:0", *broker_net.location("broker:0"))
+                broker_net.add_route("peer:alice",
+                                     *client_net.location("peer:alice"))
+                try:
+                    alice.secure_connect("broker:0")
+                    assert alice.secure_login("alice", "pw-a") == ["students"]
+                finally:
+                    alice.control.close()
+                    broker.control.close()
 
 
 class TestClockSurfaceParity:
