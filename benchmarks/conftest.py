@@ -5,14 +5,13 @@ cache in :mod:`repro.bench.fixtures` so only the measured operations pay
 crypto cost.
 
 At session end every benchmark's statistics are persisted to
-``BENCH_<name>.json`` next to the rootdir (previously the numbers only
-lived in the terminal report), and the accumulated observability
-registry is dumped as ``BENCH_OBS.json``.
+``benchmarks/out/BENCH_<name>.json`` under the rootdir (previously the
+numbers only lived in the terminal report), and the accumulated
+observability registry is dumped as ``BENCH_OBS.json`` beside them.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from pathlib import Path
 
@@ -20,6 +19,7 @@ import pytest
 
 from repro import obs
 from repro.bench import fixtures
+from repro.bench.experiment import OUT_DIR, write_bench
 from repro.bench.experiments import obs_snapshot_report
 from repro.core.policy import SecurityPolicy
 
@@ -32,7 +32,7 @@ def _safe_name(fullname: str) -> str:
 
 
 def pytest_sessionfinish(session, exitstatus):
-    root = Path(str(session.config.rootpath))
+    out_dir = Path(str(session.config.rootpath)) / OUT_DIR
     bs = getattr(session.config, "_benchmarksession", None)
     wrote_any = False
     for bench in getattr(bs, "benchmarks", None) or []:
@@ -40,9 +40,7 @@ def pytest_sessionfinish(session, exitstatus):
             data = bench.as_dict(include_data=False, flat=True)
         except Exception:
             continue  # a benchmark that never ran has no stats
-        out = root / f"BENCH_{_safe_name(bench.fullname)}.json"
-        out.write_text(json.dumps(data, indent=2, sort_keys=True, default=str)
-                       + "\n", encoding="utf-8")
+        write_bench(_safe_name(bench.fullname), data, out_dir)
         wrote_any = True
     registry = obs.get_registry()
     if wrote_any and registry.enabled:
@@ -50,8 +48,7 @@ def pytest_sessionfinish(session, exitstatus):
             "experiment": "pytest-benchmarks",
             "rsa_bits": BENCH_POLICY.rsa_bits,
         })
-        (root / "BENCH_OBS.json").write_text(
-            json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        write_bench("OBS", data, out_dir)
 
 
 @pytest.fixture(scope="module")

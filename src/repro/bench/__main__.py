@@ -1,164 +1,125 @@
 """``python -m repro.bench``: run every experiment and print the report.
 
 ``--experiment NAME`` runs one named experiment (see
-:data:`EXPERIMENTS`) and writes its ``BENCH_<NAME>.json``, exiting
-nonzero if the experiment's acceptance checks fail; ``--quick`` shrinks
-every experiment for CI smoke runs.
+:data:`EXPERIMENTS`), writes ``benchmarks/out/BENCH_<NAME>.json`` and
+exits nonzero if its acceptance checks fail or if a declared gate
+regresses against ``benchmarks/baselines/BENCH_<NAME>.json`` (a gated
+experiment without that file fails too); ``--quick`` shrinks every experiment for CI smoke
+runs.
 
-* ``fault`` — E-FAULT: fault-injection sweep + broker-crash recovery,
-  ``BENCH_FAULT.json``.
-* ``msgfast`` — E-MSGFAST: secure-messaging fast-path sweeps,
-  ``BENCH_MSGFAST.json``.
-* ``fed`` — E-FED: sharded-federation sweep, ``BENCH_FED.json``.
+* ``fault`` — E-FAULT: fault-injection sweep + broker-crash recovery.
+* ``fed`` — E-FED: sharded-federation sweep.
 * ``group`` — E-GROUP: broker-mediated group cast vs the iterated
-  fan-out (O(1) sender cost, relay amplification), ``BENCH_GROUP.json``.
+  fan-out (O(1) sender cost, relay amplification).
 * ``hotpath`` — E-HOTPATH: per-stage hot-path timings and the layer-cost
-  ladder whose resumed/plain cost ratio CI gates, ``BENCH_HOTPATH.json``.
+  ladder whose resumed/plain cost ratio is gated.
+* ``msgfast`` — E-MSGFAST: secure-messaging fast-path sweeps.
 * ``scale`` — E-SCALE: the scenario-engine population experiment
   (churn storm + Sybil flood + eclipse + frame storm over an 8-broker
-  ring), ``BENCH_SCALE.json``.
+  ring).
+
+``--check-docs [DOC]`` / ``--update-docs [DOC]`` check or regenerate the
+layer-cost table in ``docs/PERFORMANCE.md`` from the committed hotpath
+baseline; ``--cprofile [N]`` profiles N steady-state secure sends.
 """
 
 from __future__ import annotations
 
+import argparse
 import sys
 
-from repro.bench import (
-    baseline_comparison,
-    fault_report,
-    fed_report,
-    format_fed,
-    format_group,
-    format_baselines,
-    format_fault_report,
-    format_group_scaling,
-    format_hotpath,
-    format_join_overhead,
-    format_msg_overhead,
-    format_msgfast,
-    format_obs,
-    format_policy_ablation,
-    format_scale,
-    group_report,
-    group_scaling,
-    hotpath_report,
-    join_overhead,
-    msg_overhead_curve,
-    msgfast_report,
-    obs_bench,
-    policy_ablation,
-    scale_report,
-    write_bench_fault,
-    write_bench_fed,
-    write_bench_group,
-    write_bench_hotpath,
-    write_bench_msgfast,
-    write_bench_obs,
-    write_bench_scale,
-)
+from repro.bench import experiments as ex
+from repro.bench import faults, federation, group, msgfast, profile, report, scale
+from repro.bench.experiment import Experiment, compare, write_bench
+from repro.bench.figures import render_figure2
 
-
-def run_fault(quick: bool) -> int:
-    data = fault_report(messages=30 if quick else 100)
-    print(format_fault_report(data))
-    out = write_bench_fault(data)
-    print(f"  wrote {out}")
-    return 0
-
-
-def run_fed(quick: bool) -> int:
-    data = fed_report(quick=quick)
-    print(format_fed(data))
-    out = write_bench_fed(data)
-    print(f"  wrote {out}")
-    return 0 if data["checks"]["all_passed"] else 1
-
-
-def run_msgfast(quick: bool) -> int:
-    data = msgfast_report(quick=quick)
-    print(format_msgfast(data))
-    out = write_bench_msgfast(data)
-    print(f"  wrote {out}")
-    return 0 if data["checks"]["all_passed"] else 1
-
-
-def run_group(quick: bool) -> int:
-    data = group_report(quick=quick)
-    print(format_group(data))
-    out = write_bench_group(data)
-    print(f"  wrote {out}")
-    return 0 if data["checks"]["all_passed"] else 1
-
-
-def run_scale(quick: bool) -> int:
-    data = scale_report(quick=quick)
-    print(format_scale(data))
-    out = write_bench_scale(data)
-    print(f"  wrote {out}")
-    return 0 if data["checks"]["all_passed"] else 1
-
-
-def run_hotpath(quick: bool) -> int:
-    data = hotpath_report(quick=quick)
-    print(format_hotpath(data))
-    out = write_bench_hotpath(data)
-    print(f"  wrote {out}")
-    return 0 if data["checks"]["all_passed"] else 1
-
-
-#: ``--experiment`` name -> runner.  The README quickstart lists these
+#: ``--experiment`` name -> record.  The README quickstart lists these
 #: names; ``tests/bench/test_experiment_registry.py`` keeps the two in
 #: sync (same drift-gate idea as the PROTOCOLS.md frame catalogue).
-EXPERIMENTS = {
-    "fault": run_fault,
-    "fed": run_fed,
-    "group": run_group,
-    "hotpath": run_hotpath,
-    "msgfast": run_msgfast,
-    "scale": run_scale,
+EXPERIMENTS: dict[str, Experiment] = {
+    module.EXPERIMENT.name: module.EXPERIMENT
+    for module in (faults, federation, group, profile, msgfast, scale)
 }
 
 
-def main(argv: list[str]) -> int:
-    quick = "--quick" in argv
-    if "--experiment" in argv:
-        at = argv.index("--experiment") + 1
-        if at >= len(argv):
-            known = ", ".join(sorted(EXPERIMENTS))
-            print(f"--experiment needs a name; known: {known}",
-                  file=sys.stderr)
-            return 2
-        which = argv[at]
-        runner = EXPERIMENTS.get(which)
-        if runner is None:
-            known = ", ".join(sorted(EXPERIMENTS))
-            print(f"unknown experiment {which!r}; known: {known}",
-                  file=sys.stderr)
-            return 2
-        return runner(quick)
-    print(format_join_overhead(join_overhead(repeats=2 if quick else 3)))
+def run_experiment(experiment: Experiment, quick: bool) -> int:
+    """Run, print and write one experiment; 1 if it fails a check or gate."""
+    data = experiment.run(quick)
+    print(experiment.format(data))
+    print(f"  wrote {write_bench(experiment.name, data)}")
+    baseline = experiment.baseline()
+    problems = compare(data, baseline, experiment.gates)
+    if experiment.gates and baseline is None:
+        problems.append(f"no baseline at {experiment.baseline_path} for a "
+                        "gated experiment (run from the repository root)")
+    against = "" if baseline is None else f" + gates vs {experiment.baseline_path}"
+    print(f"  checks{against}: {'FAIL' if problems else 'pass'}")
+    for problem in problems:
+        print(f"  FAIL: {problem}")
+    return 1 if problems else 0
+
+
+def run_report(quick: bool) -> int:
+    """The §5 report: E1, E2/Figure 2, A2-A4 and E-OBS."""
+    print(report.format_join_overhead(ex.join_overhead(repeats=2 if quick else 3)))
     print()
     sizes = (100, 1_000, 10_000, 100_000) if quick else (100, 1_000, 10_000, 100_000, 1_000_000)
-    curve = msg_overhead_curve(sizes=sizes, repeats=2 if quick else 3)
-    print(format_msg_overhead(curve))
+    curve = ex.msg_overhead_curve(sizes=sizes, repeats=2 if quick else 3)
+    print(report.format_msg_overhead(curve))
     print()
-    from repro.bench.figures import render_figure2
-
     print(render_figure2(curve))
     print()
-    print(format_group_scaling(group_scaling(group_sizes=(2, 4, 8) if quick else (2, 4, 8, 16))))
+    print(report.format_group_scaling(
+        ex.group_scaling(group_sizes=(2, 4, 8) if quick else (2, 4, 8, 16))))
     print()
     counts = (1, 5, 10) if quick else (1, 2, 5, 10, 50)
-    print(format_baselines(baseline_comparison(message_counts=counts), size_bytes=1_000))
+    print(report.format_baselines(
+        ex.baseline_comparison(message_counts=counts), size_bytes=1_000))
     print()
-    print(format_policy_ablation(policy_ablation()))
+    print(report.format_policy_ablation(ex.policy_ablation()))
     print()
-    obs_data = obs_bench(repeats=3 if quick else 5)
-    print(format_obs(obs_data))
-    out = write_bench_obs(obs_data)
-    print(f"  wrote {out}")
+    obs_data = ex.obs_bench(repeats=3 if quick else 5)
+    print(report.format_obs(obs_data))
+    print(f"  wrote {write_bench('OBS', obs_data)}")
     return 0
 
 
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.bench",
+        description="the §5 report, or one named experiment and its gates")
+    parser.add_argument("--quick", action="store_true",
+                        help="shrink every experiment for a smoke run")
+    verb = parser.add_mutually_exclusive_group()
+    verb.add_argument("--experiment", metavar="NAME",
+                      help="run one experiment: " + ", ".join(EXPERIMENTS))
+    verb.add_argument("--check-docs", nargs="?", const=profile.PERFORMANCE_DOC,
+                      metavar="DOC",
+                      help="verify the generated layer table in DOC "
+                           "against the committed hotpath baseline")
+    verb.add_argument("--update-docs", nargs="?", const=profile.PERFORMANCE_DOC,
+                      metavar="DOC",
+                      help="rewrite the generated layer table in DOC from "
+                           "the committed hotpath baseline")
+    verb.add_argument("--cprofile", nargs="?", const=300, type=int,
+                      metavar="N", help="profile N steady-state sends")
+    args = parser.parse_args(argv)
+    if args.check_docs:
+        return profile.check_docs(args.check_docs)
+    if args.update_docs:
+        return profile.update_docs(args.update_docs)
+    if args.cprofile:
+        return profile.run_cprofile(args.cprofile)
+    if args.experiment is None:
+        return run_report(args.quick)
+    experiment = EXPERIMENTS.get(args.experiment)
+    if experiment is None:
+        known = ", ".join(sorted(EXPERIMENTS))
+        print(f"unknown experiment {args.experiment!r}; known: {known}",
+              file=sys.stderr)
+        return 2
+    return run_experiment(experiment, args.quick)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+    raise SystemExit(main())

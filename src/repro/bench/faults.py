@@ -22,12 +22,10 @@ writes ``BENCH_FAULT.json``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 from repro import obs
-from repro.bench.paths import bench_out_path
+from repro.bench.experiment import Experiment
 from repro.bench.fixtures import build_plain_world, build_secure_world, join_plain
 from repro.overlay.policy import NO_RETRY, RetryPolicy
 from repro.sim.faults import BrokerCrash, FaultPlan, FrameLoss
@@ -190,9 +188,6 @@ def format_fault_report(data: dict) -> str:
     return "\n".join(lines)
 
 
-def write_bench_fault(data: dict, path: str | Path | None = None) -> Path:
-    """Persist the E-FAULT document as machine-readable JSON."""
-    out = Path(path) if path is not None else bench_out_path("BENCH_FAULT.json")
-    out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n",
-                   encoding="utf-8")
-    return out
+EXPERIMENT = Experiment(
+    "fault", lambda quick: fault_report(messages=30 if quick else 100),
+    format_fault_report)

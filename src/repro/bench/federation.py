@@ -26,14 +26,12 @@ stack, both with counted ``fed.reject.*`` metrics.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 from repro import obs
-from repro.bench.paths import bench_out_path
+from repro.bench.experiment import Experiment
 from repro.bench.fixtures import build_secure_world, fresh_network
-from repro.bench.msgfast import _restore_registry, _swap_registry, bench_policy
+from repro.bench.msgfast import bench_policy
 from repro.crypto.drbg import HmacDrbg
 from repro.jxta.advertisements import FileAdvertisement
 from repro.jxta.messages import Message
@@ -162,31 +160,27 @@ def _heal_probe(net, brokers, clients) -> float | None:
 
 
 def fed_cell(n_brokers: int, n_clients: int = N_CLIENTS) -> FedCell:
-    registry, saved = _swap_registry()
-    try:
+    with obs.scope() as state:
         net, root, brokers, clients = _build_cluster(n_brokers, n_clients)
         shares, lo, hi = _share_spread(brokers)
         total = sum(shares.values())
-        lookups, redirects, worst = _redirect_probe(registry, clients)
+        lookups, redirects, worst = _redirect_probe(state.registry, clients)
         link_sent, relink_sent = _link_probe(
-            registry, net, root, brokers, brokers[0].database)
+            state.registry, net, root, brokers, brokers[0].database)
         heal = _heal_probe(net, brokers, clients)
-        return FedCell(
-            n_brokers=n_brokers, n_clients=n_clients, total_entries=total,
-            shares=shares, min_share_ratio=round(lo, 3),
-            max_share_ratio=round(hi, 3), lookups=lookups,
-            redirects=redirects,
-            redirect_rate=round(redirects / lookups, 3) if lookups else 0.0,
-            max_redirects_per_lookup=worst, link_entries_sent=link_sent,
-            relink_entries_sent=relink_sent, heal_convergence_s=heal)
-    finally:
-        _restore_registry(saved)
+    return FedCell(
+        n_brokers=n_brokers, n_clients=n_clients, total_entries=total,
+        shares=shares, min_share_ratio=round(lo, 3),
+        max_share_ratio=round(hi, 3), lookups=lookups,
+        redirects=redirects,
+        redirect_rate=round(redirects / lookups, 3) if lookups else 0.0,
+        max_redirects_per_lookup=worst, link_entries_sent=link_sent,
+        relink_entries_sent=relink_sent, heal_convergence_s=heal)
 
 
 def secure_reject_probe() -> dict:
     """Unsigned frames die in the secure stack, foreign ones in the plain."""
-    registry, saved = _swap_registry()
-    try:
+    with obs.scope() as state:
         net, admin, broker, clients = build_secure_world(
             n_clients=1, policy=bench_policy(True), joined=True)
         client = clients[0]
@@ -195,15 +189,12 @@ def secure_reject_probe() -> dict:
         rogue = Message("index_sync")
         rogue.add_xml("adv", adv.to_element())
         client.control.endpoint.send("broker:0", rogue)
-        unsigned = registry.count("fed.reject.unsigned")
+        unsigned = state.registry.count("fed.reject.unsigned")
         forged_present = bool([
             e for e in broker.control.cache.find("FileAdvertisement")
             if e.parsed.file_name == "evil"])
-    finally:
-        _restore_registry(saved)
 
-    registry, saved = _swap_registry()
-    try:
+    with obs.scope() as state:
         net = fresh_network()
         root = HmacDrbg(b"bench-fed-foreign")
         database = UserDatabase(root.fork(b"db"))
@@ -217,12 +208,10 @@ def secure_reject_probe() -> dict:
         rogue = Message("index_sync")
         rogue.add_xml("adv", fake.to_element())
         walkin.control.endpoint.send("broker:0", rogue)
-        foreign = registry.count("fed.reject.foreign_index_sync")
+        foreign = state.registry.count("fed.reject.foreign_index_sync")
         foreign_present = bool([
             e for e in plain.control.cache.find("FileAdvertisement")
             if e.parsed.file_name == "evil"])
-    finally:
-        _restore_registry(saved)
     return {
         "unsigned_rejections": unsigned,
         "foreign_rejections": foreign,
@@ -305,9 +294,4 @@ def format_fed(data: dict) -> str:
     return "\n".join(lines)
 
 
-def write_bench_fed(data: dict, path: str | Path | None = None) -> Path:
-    """Persist the E-FED document as machine-readable JSON."""
-    out = Path(path) if path is not None else bench_out_path("BENCH_FED.json")
-    out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n",
-                   encoding="utf-8")
-    return out
+EXPERIMENT = Experiment("fed", fed_report, format_fed)

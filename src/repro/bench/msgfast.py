@@ -17,33 +17,27 @@ baseline (both fast paths off — exactly what ``ERA_2009_POLICY`` ships):
   trickle load across legacy framing, adaptive batching, and batching
   with negotiated zlib compression.  Everything here is measured on the
   virtual-time simulator, so the numbers are deterministic and the
-  ``--gate`` regression check (see below) compares them across machines
+  regression gates (:data:`EXPERIMENT`) compare them across machines
   without noise tolerance games.
 
 RSA operation counts are read from the observability registry
 (``crypto.rsa.private_op`` / ``public_op`` / ``verify_op``) under a
-swapped-in fresh registry, so the numbers cover exactly the measured
+fresh :func:`repro.obs.scope`, so the numbers cover exactly the measured
 sends — world setup, joins and advertisement exchange are excluded.
 
 ``python -m repro.bench --experiment msgfast`` prints the report, writes
-``BENCH_MSGFAST.json`` and exits nonzero if any acceptance check fails
-(CI runs the ``--quick`` variant and relies on that exit code).
-``python -m repro.bench.msgfast --gate FRESH [BASELINE]`` compares a
-fresh document against the committed
-``benchmarks/baselines/BENCH_MSGFAST.json`` on the deterministic wire
-quantities and fails CI on a >20% regression.
+``BENCH_MSGFAST.json`` and exits nonzero if any acceptance check fails,
+or if a wire quantity regresses more than 20 % against the committed
+``benchmarks/baselines/BENCH_MSGFAST.json``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 from repro import obs
-from repro.bench.paths import bench_out_path
 from repro.bench import fixtures
+from repro.bench.experiment import Experiment, Gate
 from repro.bench.timing import timed_call
 from repro.core.policy import SecurityPolicy
 from repro.crypto import envelope, signing
@@ -66,10 +60,6 @@ CHECK_GROUP_SIZE = 16
 WIRE_MESSAGES = 64
 WIRE_MODES = ("legacy", "batched", "batched+zlib")
 WIRE_LOADS = ("burst", "trickle")
-
-#: --gate inputs: committed baseline and tolerance on the wire quantities
-WIRE_BASELINE_PATH = "benchmarks/baselines/BENCH_MSGFAST.json"
-WIRE_TOLERANCE = 0.20
 
 #: RSA-op counters snapshotted around every measured send loop
 _RSA_COUNTERS = ("crypto.rsa.private_op", "crypto.rsa.public_op",
@@ -107,21 +97,6 @@ class SweepCell:
         return self.rsa_private_ops + self.rsa_public_ops
 
 
-def _swap_registry() -> tuple[obs.Registry, tuple]:
-    registry = obs.Registry(enabled=True)
-    saved = (obs.get_registry(), obs.get_tracer(), obs.get_events())
-    obs.set_registry(registry)
-    obs.set_tracer(obs.Tracer(registry=registry))
-    obs.set_events(obs.ProtocolEvents(registry=registry))
-    return registry, saved
-
-
-def _restore_registry(saved: tuple) -> None:
-    obs.set_registry(saved[0])
-    obs.set_tracer(saved[1])
-    obs.set_events(saved[2])
-
-
 def _measure(net, registry: obs.Registry, send, messages: int) -> dict:
     """Run ``messages`` sends, returning counter deltas + mean cost."""
     before = {name: registry.count(name) for name in _RSA_COUNTERS}
@@ -156,19 +131,16 @@ def group_sweep(sizes=GROUP_SIZES, messages: int = 3) -> list[SweepCell]:
     for fast in (False, True):
         policy = bench_policy(fast)
         for size in sizes:
-            registry, saved = _swap_registry()
-            try:
+            with obs.scope() as state:
                 net, _admin, _broker, clients = fixtures.build_secure_world(
                     n_clients=size + 1, policy=policy,
                     seed=b"e-msgfast-group", joined=True)
                 sender = clients[0]
                 stats = _measure(
-                    net, registry,
+                    net, state.registry,
                     lambda: sender.secure_msg_peer_group(
                         "bench", "fast-path probe"),
                     messages)
-            finally:
-                _restore_registry(saved)
             cells.append(SweepCell(fast=fast, group_size=size,
                                    messages=messages, **stats))
     return cells
@@ -180,19 +152,16 @@ def rate_sweep(counts=RATE_COUNTS) -> list[SweepCell]:
     for fast in (False, True):
         policy = bench_policy(fast)
         for count in counts:
-            registry, saved = _swap_registry()
-            try:
+            with obs.scope() as state:
                 net, _admin, _broker, clients = fixtures.build_secure_world(
                     n_clients=2, policy=policy,
                     seed=b"e-msgfast-rate", joined=True)
                 sender, receiver = clients
                 stats = _measure(
-                    net, registry,
+                    net, state.registry,
                     lambda: sender.secure_msg_peer(
                         str(receiver.peer_id), "bench", "rate probe"),
                     count)
-            finally:
-                _restore_registry(saved)
             cells.append(SweepCell(fast=fast, group_size=1,
                                    messages=count, **stats))
     return cells
@@ -204,8 +173,8 @@ def steady_state_probe(messages: int = 8) -> dict:
     The acceptance criterion: after the first (establishing) envelope,
     every resumed send costs **zero** RSA operations end to end.
     """
-    registry, saved = _swap_registry()
-    try:
+    with obs.scope() as state:
+        registry = state.registry
         net, _admin, _broker, clients = fixtures.build_secure_world(
             n_clients=2, policy=bench_policy(True),
             seed=b"e-msgfast-steady", joined=True)
@@ -218,8 +187,6 @@ def steady_state_probe(messages: int = 8) -> dict:
             if sender.secure_msg_peer(str(receiver.peer_id), "bench", "steady"))
         deltas = {name: registry.count(name) - before[name]
                   for name in _RSA_COUNTERS}
-    finally:
-        _restore_registry(saved)
     return {
         "resumed_messages": messages,
         "delivered": delivered,
@@ -297,11 +264,8 @@ def wire_sweep(messages: int = WIRE_MESSAGES) -> list[WireCell]:
     cells: list[WireCell] = []
     for mode in WIRE_MODES:
         for load in WIRE_LOADS:
-            _registry, saved = _swap_registry()
-            try:
+            with obs.scope():
                 cells.append(_wire_cell(mode, load, messages=messages))
-            finally:
-                _restore_registry(saved)
     return cells
 
 
@@ -448,99 +412,10 @@ def format_msgfast(data: dict) -> str:
     return "\n".join(lines)
 
 
-def write_bench_msgfast(data: dict,
-                        path: str | Path | None = None) -> Path:
-    """Persist the E-MSGFAST document as machine-readable JSON."""
-    out = Path(path) if path is not None else bench_out_path("BENCH_MSGFAST.json")
-    out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n",
-                   encoding="utf-8")
-    return out
-
-
-# -- CI regression gate ----------------------------------------------------
-
-
-def check_wire_regression(fresh: dict, baseline: dict,
-                          tolerance: float = WIRE_TOLERANCE) -> list[str]:
-    """Problems (empty = pass) comparing fresh wire numbers to baseline.
-
-    Only virtual-time quantities are gated — bytes per message, frames
-    per wire unit and the deterministic msgs/sec — so the comparison is
-    machine-independent.  Wall-clock numbers elsewhere in the document
-    stay informational.
-    """
-    problems: list[str] = []
-    fresh_cells = {(c["mode"], c["load"]): c
-                   for c in fresh.get("wire_sweep", ())}
-    base_cells = {(c["mode"], c["load"]): c
-                  for c in baseline.get("wire_sweep", ())}
-    if not base_cells:
-        return ["baseline document has no wire_sweep section"]
-    for key, base in sorted(base_cells.items()):
-        cell = fresh_cells.get(key)
-        label = "/".join(key)
-        if cell is None:
-            problems.append(f"{label}: missing from fresh run")
-            continue
-        byte_ceiling = base["bytes_per_msg"] * (1.0 + tolerance)
-        if cell["bytes_per_msg"] > byte_ceiling:
-            problems.append(
-                f"{label}: bytes/msg regressed "
-                f"{cell['bytes_per_msg']:.1f} > {byte_ceiling:.1f} "
-                f"(baseline {base['bytes_per_msg']:.1f})")
-        unit_floor = base["frames_per_unit"] * (1.0 - tolerance)
-        if cell["frames_per_unit"] < unit_floor:
-            problems.append(
-                f"{label}: frames/wire-unit regressed "
-                f"{cell['frames_per_unit']:.2f} < {unit_floor:.2f} "
-                f"(baseline {base['frames_per_unit']:.2f})")
-        rate_floor = base["msgs_per_sec"] * (1.0 - tolerance)
-        if cell["msgs_per_sec"] < rate_floor:
-            problems.append(
-                f"{label}: virtual msgs/sec regressed "
-                f"{cell['msgs_per_sec']:.1f} < {rate_floor:.1f} "
-                f"(baseline {base['msgs_per_sec']:.1f})")
-    if not fresh["checks"]["all_passed"]:
-        failed = [k for k, v in fresh["checks"].items()
-                  if isinstance(v, bool) and not v]
-        problems.append(f"fresh run failed its own checks: {failed}")
-    return problems
-
-
-def gate(fresh_path: str, baseline_path: str = WIRE_BASELINE_PATH,
-         tolerance: float = WIRE_TOLERANCE) -> int:
-    try:
-        fresh = json.loads(Path(fresh_path).read_text(encoding="utf-8"))
-        baseline = json.loads(Path(baseline_path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        print(f"msgfast gate: cannot load inputs: {exc}")
-        return 2
-    problems = check_wire_regression(fresh, baseline, tolerance)
-    fresh_cells = {(c["mode"], c["load"]): c
-                   for c in fresh.get("wire_sweep", ())}
-    burst = fresh_cells.get(("batched", "burst"))
-    if burst is not None:
-        print(f"msgfast gate: burst batching "
-              f"{burst['frames_per_unit']:.1f} frames/wire-unit, "
-              f"{burst['bytes_per_msg']:.1f} bytes/msg")
-    for problem in problems:
-        print(f"msgfast gate: FAIL: {problem}")
-    if not problems:
-        print("msgfast gate: pass")
-    return 1 if problems else 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.msgfast",
-        description="E-MSGFAST wire-throughput regression gate")
-    parser.add_argument("--gate", nargs="+", metavar="JSON", required=True,
-                        help="compare FRESH [BASELINE] msgfast documents; "
-                             f"baseline defaults to {WIRE_BASELINE_PATH}")
-    args = parser.parse_args(argv)
-    baseline = args.gate[1] if len(args.gate) > 1 else WIRE_BASELINE_PATH
-    return gate(args.gate[0], baseline)
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CI
-    raise SystemExit(main())
+#: the gates: the wire sweep's deterministic quantities per (mode, load)
+#: cell; wall-clock numbers elsewhere in the document stay informational
+EXPERIMENT = Experiment("msgfast", msgfast_report, format_msgfast, gates=tuple(
+    Gate(quantity, direction, rows="wire_sweep", key=("mode", "load"))
+    for quantity, direction in (("bytes_per_msg", "max"),
+                                ("frames_per_unit", "min"),
+                                ("msgs_per_sec", "min"))))

@@ -8,23 +8,20 @@ the shipped implementation) and prices the **layer ladder** (plain →
 stretch of the host hits every layer alike.
 
 ``python -m repro.bench --experiment hotpath`` prints the report, writes
-``BENCH_HOTPATH.json`` and exits nonzero if an acceptance check fails.
-Two extra CLI verbs back the CI gates (see ``python -m
-repro.bench.profile --help``):
+``BENCH_HOTPATH.json`` and exits nonzero if an acceptance check fails,
+or if the **cost ratio** — ``+secure resumed`` ms/msg over ``plain``
+ms/msg, the median over trials, which tracks the code rather than the
+host — exceeds the committed baseline's by more than 20 % (the gate in
+:data:`EXPERIMENT`).  Three more verbs of that CLI live here:
 
-* ``--gate FRESH [BASELINE]`` — regression gate.  Compares a fresh
-  ``BENCH_HOTPATH.json`` against the committed baseline and fails when
-  the **cost ratio** — ``+secure resumed`` ms/msg over ``plain`` ms/msg,
-  the median over trials, which tracks the code rather than the host —
-  exceeds the baseline's by more than :data:`REGRESSION_TOLERANCE`.
 * ``--check-docs [DOC]`` — drift gate.  The layer-cost table embedded
   in ``docs/PERFORMANCE.md`` must match the one rendered from the
   committed baseline JSON byte-for-byte (same pattern as
-  ``python -m repro.wire --check-docs``).
-
-``--cprofile [N]`` runs N steady-state sends under :mod:`cProfile` and
-prints the hottest functions, which is how the optimization targets in
-this module were found in the first place.
+  ``python -m repro.wire --check-docs``); ``--update-docs [DOC]``
+  rewrites it.
+* ``--cprofile [N]`` runs N steady-state sends under :mod:`cProfile` and
+  prints the hottest functions, which is how the optimization targets in
+  this module were found in the first place.
 """
 
 from __future__ import annotations
@@ -36,21 +33,15 @@ from pathlib import Path
 
 from repro import obs
 from repro.bench import fixtures
-from repro.bench.paths import bench_out_path
+from repro.bench.experiment import TOLERANCE, Experiment, Gate
 from repro.crypto import chacha20, envelope, resume
 from repro.crypto.drbg import HmacDrbg
 from repro.jxta.messages import Message
 from repro.overlay.federation import HashRing
 from repro.wire import catalogue
 
-#: --gate tolerance: fail when the cost ratio grows by more than this
-REGRESSION_TOLERANCE = 0.20
-
 #: the ladder row whose cost relative to ``plain`` the gate tracks
 GATED_LAYER = "+secure resumed"
-
-#: where CI keeps the committed reference run
-BASELINE_PATH = "benchmarks/baselines/BENCH_HOTPATH.json"
 
 #: the document carrying the generated layer-cost table
 PERFORMANCE_DOC = "docs/PERFORMANCE.md"
@@ -130,15 +121,10 @@ def stage_report(repeats: int = 2000) -> list[dict]:
     stages.append(_stage("ring owner lookup", ring_lookup, repeats))
 
     # obs: one interned counter increment
-    registry = obs.Registry(enabled=True)
-    saved = obs.get_registry()
-    obs.set_registry(registry)
-    try:
+    with obs.scope():
         interned = obs.InternedCounter("bench.hotpath.incr")
         stages.append(_stage("obs counter increment", interned.incr,
                              repeats * 4))
-    finally:
-        obs.set_registry(saved)
 
     # crypto: the ChaCha20 keystream behind every sealed frame (1 KiB)
     key, nonce = b"k" * 32, b"n" * 12
@@ -175,22 +161,6 @@ def stage_report(repeats: int = 2000) -> list[dict]:
 
 
 # -- the layer ladder ------------------------------------------------------
-
-
-def _obs_state(enabled: bool = True) -> tuple:
-    """A fresh (registry, tracer, events) triple."""
-    registry = obs.Registry(enabled=enabled)
-    return (registry, obs.Tracer(registry=registry),
-            obs.ProtocolEvents(registry=registry))
-
-
-def _install_obs(state: tuple) -> tuple:
-    """Make ``state`` the process obs triple; returns the one it replaced."""
-    saved = (obs.get_registry(), obs.get_tracer(), obs.get_events())
-    obs.set_registry(state[0])
-    obs.set_tracer(state[1])
-    obs.set_events(state[2])
-    return saved
 
 
 def _measure_sends(send, messages: int) -> tuple[float, int]:
@@ -277,24 +247,18 @@ def layer_ladder(messages: int = 40, trials: int = 15) -> list[dict]:
         ("+secure (stateless)", True, lambda: secure_send(fast=False)),
         (GATED_LAYER, True, lambda: secure_send(fast=True)),
     ]
-    states = [_obs_state(obs_enabled) for _layer, obs_enabled, _b in layers]
-    sends = []
-    for state, (_layer, _obs_enabled, build) in zip(states, layers):
-        saved = _install_obs(state)
-        try:
+    states, sends = [], []
+    for _layer, obs_enabled, build in layers:
+        with obs.scope(enabled=obs_enabled) as state:
             sends.append(build())
-        finally:
-            _install_obs(saved)
+        states.append(state)
 
     ms = [[] for _ in layers]
     delivered = [0] * len(layers)
     for _ in range(trials):
         for i, state in enumerate(states):
-            saved = _install_obs(state)
-            try:
+            with obs.scope(state):
                 ms_per_msg, landed = _measure_sends(sends[i], messages)
-            finally:
-                _install_obs(saved)
             ms[i].append(ms_per_msg)
             delivered[i] += landed
 
@@ -317,17 +281,13 @@ def layer_ladder(messages: int = 40, trials: int = 15) -> list[dict]:
     return rows
 
 
-def _gated_row(data: dict) -> dict:
-    for row in data["layers"]:
-        if row["layer"] == GATED_LAYER:
-            return row
-    raise KeyError(f"no {GATED_LAYER!r} row in the layer ladder")
-
-
 def gated_ratio(data: dict) -> float:
     """The gated quantity of a hotpath document: the
     :data:`GATED_LAYER` row's median cost ratio to ``plain``."""
-    return _gated_row(data)["x_vs_plain"]
+    for row in data["layers"]:
+        if row["layer"] == GATED_LAYER:
+            return row["x_vs_plain"]
+    raise KeyError(f"no {GATED_LAYER!r} row in the layer ladder")
 
 
 # -- the experiment document ----------------------------------------------
@@ -390,61 +350,10 @@ def format_hotpath(data: dict) -> str:
     return "\n".join(lines)
 
 
-def write_bench_hotpath(data: dict,
-                        path: str | Path | None = None) -> Path:
-    """Persist the E-HOTPATH document as machine-readable JSON."""
-    out = Path(path) if path is not None else bench_out_path("BENCH_HOTPATH.json")
-    out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n",
-                   encoding="utf-8")
-    return out
-
-
-# -- CI regression gate ----------------------------------------------------
-
-
-def check_regression(fresh: dict, baseline: dict,
-                     tolerance: float = REGRESSION_TOLERANCE) -> list[str]:
-    """Problems (empty = pass) comparing a fresh run to the baseline.
-
-    The gated quantity is the **cost ratio** of :data:`GATED_LAYER` to
-    ``plain`` (:func:`gated_ratio`), because absolute msgs/sec tracks
-    the host machine, not the code.  Absolute throughput is still
-    reported for eyeballs.
-    """
-    problems: list[str] = []
-    fresh_ratio = gated_ratio(fresh)
-    base_ratio = gated_ratio(baseline)
-    ceiling = base_ratio * (1.0 + tolerance)
-    if fresh_ratio > ceiling:
-        problems.append(
-            f"cost ratio regressed: {GATED_LAYER} costs {fresh_ratio:.2f}x "
-            f"plain > {ceiling:.2f}x ({(1 + tolerance) * 100:.0f}% of the "
-            f"baseline {base_ratio:.2f}x)")
-    if not fresh["checks"]["all_passed"]:
-        failed = [k for k, v in fresh["checks"].items() if not v]
-        problems.append(f"fresh run failed its own checks: {failed}")
-    return problems
-
-
-def gate(fresh_path: str, baseline_path: str = BASELINE_PATH,
-         tolerance: float = REGRESSION_TOLERANCE) -> int:
-    try:
-        fresh = json.loads(Path(fresh_path).read_text(encoding="utf-8"))
-        baseline = json.loads(Path(baseline_path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        print(f"hotpath gate: cannot load inputs: {exc}")
-        return 2
-    problems = check_regression(fresh, baseline, tolerance)
-    print(f"hotpath gate: fresh cost ratio {gated_ratio(fresh):.2f}x vs "
-          f"baseline {gated_ratio(baseline):.2f}x "
-          f"(absolute: {_gated_row(fresh)['msgs_per_sec']:.0f} vs "
-          f"{_gated_row(baseline)['msgs_per_sec']:.0f} msgs/sec, "
-          "informational)")
-    for problem in problems:
-        print(f"hotpath gate: FAIL: {problem}")
-    if not problems:
-        print("hotpath gate: pass")
-    return 1 if problems else 0
+EXPERIMENT = Experiment("hotpath", hotpath_report, format_hotpath, gates=(
+    Gate("x_vs_plain", "max", rows="layers", key=("layer",),
+         only=(GATED_LAYER,)),
+))
 
 
 # -- the generated layer-cost table (docs drift gate) ----------------------
@@ -466,12 +375,13 @@ def render_layer_table(data: dict) -> str:
             f"{row['ms_per_msg']:.2f} | {row['x_vs_plain']:.2f}x | "
             f"{row['x_vs_plain_q1']:.2f}–{row['x_vs_plain_q3']:.2f}x |")
     ratio = gated_ratio(data)
+    gate = EXPERIMENT.gates[0]
     lines += [
         "",
         f"Gated: `{GATED_LAYER}` costs **{ratio:.2f}x** `plain` (median of "
         f"{data['layers'][0]['trials']} interleaved trials); the gate fails "
-        f"a fresh run above {ratio * (1 + REGRESSION_TOLERANCE):.2f}x "
-        f"(+{REGRESSION_TOLERANCE * 100:.0f}%).",
+        f"a fresh run above {gate.bound(ratio):.2f}x "
+        f"(+{TOLERANCE * 100:.0f}%).",
     ]
     return "\n".join(lines) + "\n"
 
@@ -487,7 +397,7 @@ def embedded_section(doc_text: str) -> str | None:
 
 
 def check_docs(doc_path: str = PERFORMANCE_DOC,
-               baseline_path: str = BASELINE_PATH) -> int:
+               baseline_path: str | Path = EXPERIMENT.baseline_path) -> int:
     try:
         doc = Path(doc_path).read_text(encoding="utf-8")
         baseline = json.loads(Path(baseline_path).read_text(encoding="utf-8"))
@@ -502,15 +412,15 @@ def check_docs(doc_path: str = PERFORMANCE_DOC,
     expected = render_layer_table(baseline)
     if embedded != expected:
         print(f"drift check: {doc_path} layer table is out of date — "
-              "regenerate with `python -m repro.bench.profile "
-              f"--update-docs` after refreshing {baseline_path}")
+              "regenerate with `python -m repro.bench --update-docs` "
+              f"after refreshing {baseline_path}")
         return 1
     print(f"drift check: {doc_path} layer table matches {baseline_path}")
     return 0
 
 
 def update_docs(doc_path: str = PERFORMANCE_DOC,
-                baseline_path: str = BASELINE_PATH) -> int:
+                baseline_path: str | Path = EXPERIMENT.baseline_path) -> int:
     doc = Path(doc_path).read_text(encoding="utf-8")
     baseline = json.loads(Path(baseline_path).read_text(encoding="utf-8"))
     try:
@@ -533,8 +443,7 @@ def run_cprofile(messages: int = 300, top: int = 20) -> int:
     import cProfile
     import pstats
 
-    saved = _install_obs(_obs_state())
-    try:
+    with obs.scope():
         _net, sender, receiver = _steady_world(b"e-hotpath-cprofile")
         peer = str(receiver.peer_id)
         profiler = cProfile.Profile()
@@ -542,53 +451,6 @@ def run_cprofile(messages: int = 300, top: int = 20) -> int:
         for _ in range(messages):
             sender.secure_msg_peer(peer, "bench", _PAYLOAD_TEXT)
         profiler.disable()
-    finally:
-        _install_obs(saved)
     stats = pstats.Stats(profiler)
     stats.sort_stats("cumulative").print_stats(top)
     return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.profile",
-        description="E-HOTPATH gates: regression, docs drift, cProfile")
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--gate", nargs="+", metavar="JSON",
-                       help="compare FRESH [BASELINE] hotpath documents; "
-                            f"baseline defaults to {BASELINE_PATH}")
-    group.add_argument("--check-docs", nargs="?", const=PERFORMANCE_DOC,
-                       metavar="DOC",
-                       help="verify the generated layer table in DOC "
-                            f"against {BASELINE_PATH}")
-    group.add_argument("--update-docs", nargs="?", const=PERFORMANCE_DOC,
-                       metavar="DOC",
-                       help="rewrite the generated layer table in DOC "
-                            f"from {BASELINE_PATH}")
-    group.add_argument("--dump-table", action="store_true",
-                       help=f"print the layer table from {BASELINE_PATH}")
-    group.add_argument("--cprofile", nargs="?", const=300, type=int,
-                       metavar="N",
-                       help="profile N steady-state sends")
-    args = parser.parse_args(argv)
-    if args.gate:
-        baseline = args.gate[1] if len(args.gate) > 1 else BASELINE_PATH
-        return gate(args.gate[0], baseline)
-    if args.check_docs:
-        return check_docs(args.check_docs)
-    if args.update_docs:
-        return update_docs(args.update_docs)
-    if args.dump_table:
-        baseline = json.loads(
-            Path(BASELINE_PATH).read_text(encoding="utf-8"))
-        print(render_layer_table(baseline), end="")
-        return 0
-    if args.cprofile:
-        return run_cprofile(args.cprofile)
-    return 2
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CI
-    raise SystemExit(main())

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 from repro.bench.experiments import (
     BaselineComparisonPoint,
     GroupScalePoint,
@@ -12,7 +9,6 @@ from repro.bench.experiments import (
     MsgOverheadCurve,
     PolicyAblationRow,
 )
-from repro.bench.paths import bench_out_path
 
 
 def _ms(seconds: float) -> str:
@@ -103,14 +99,6 @@ def format_obs(data: dict) -> str:
                 f"  {name:>32}  {s.get('count', 0):>6}"
                 f"  {s.get('p50', 0.0):>9.3f}  {s.get('p95', 0.0):>9.3f}")
     return "\n".join(lines)
-
-
-def write_bench_obs(data: dict, path: str | Path | None = None) -> Path:
-    """Persist the E-OBS document as machine-readable JSON."""
-    out = Path(path) if path is not None else bench_out_path("BENCH_OBS.json")
-    out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n",
-                   encoding="utf-8")
-    return out
 
 
 def format_policy_ablation(rows: list[PolicyAblationRow]) -> str:

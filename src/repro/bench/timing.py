@@ -71,6 +71,29 @@ def repeat_timed(network: SimNetwork, fn: Callable[[], object],
             for _ in range(repeats)]
 
 
+def fastest_interleaved(ops: list[tuple[SimNetwork, Callable[[], object]]],
+                        rounds: int, cpu_scale: float = 1.0,
+                        names: list[str | None] | None = None
+                        ) -> list[OpTiming]:
+    """The fastest of ``rounds`` timings of each ``(network, fn)`` op.
+
+    Every round calls the ops in turn, so a change in host speed hits
+    all of them alike, and the fastest of several calls is not one
+    scheduler hiccup.  Only the kept timings are recorded under
+    ``names``.
+    """
+    kept: list[OpTiming | None] = [None] * len(ops)
+    for _ in range(rounds):
+        for i, (network, fn) in enumerate(ops):
+            timing = timed_call(network, fn, cpu_scale)
+            if kept[i] is None or timing.total_s < kept[i].total_s:
+                kept[i] = timing
+    for name, timing in zip(names or (), kept):
+        if name is not None:
+            _record(name, timing)
+    return kept
+
+
 #: calls per side behind each :func:`paired_timed` sample
 PAIRED_BEST_OF = 9
 
@@ -89,22 +112,11 @@ def paired_timed(a: tuple[SimNetwork, Callable[[], object]],
     sample is not one scheduler hiccup.  Only the kept samples are
     recorded under ``names``.
     """
-    (net_a, fn_a), (net_b, fn_b) = a, b
-    fn_a()
-    fn_b()
-    kept_a: list[OpTiming] = []
-    kept_b: list[OpTiming] = []
-    for _ in range(repeats):
-        runs = [(timed_call(net_a, fn_a, cpu_scale),
-                 timed_call(net_b, fn_b, cpu_scale))
-                for _ in range(PAIRED_BEST_OF)]
-        kept_a.append(min((ta for ta, _ in runs), key=lambda t: t.total_s))
-        kept_b.append(min((tb for _, tb in runs), key=lambda t: t.total_s))
-    for name, kept in zip(names, (kept_a, kept_b)):
-        if name is not None:
-            for timing in kept:
-                _record(name, timing)
-    return kept_a, kept_b
+    for _network, fn in (a, b):
+        fn()
+    kept = [fastest_interleaved([a, b], PAIRED_BEST_OF, cpu_scale, names)
+            for _ in range(repeats)]
+    return [k[0] for k in kept], [k[1] for k in kept]
 
 
 def mean_total(timings: list[OpTiming]) -> float:

@@ -10,7 +10,8 @@ Three cooperating, individually usable pieces (see
   (``on_login``, ``on_replay_blocked``, ...).
 
 Everything records to process-local defaults swappable via
-``set_registry`` / ``set_tracer`` / ``set_events``; setting the
+``set_registry`` / ``set_tracer`` / ``set_events`` (or all three at
+once for a ``with`` block: :func:`scope`); setting the
 environment variable ``REPRO_OBS_DISABLED=1`` (before import) starts the
 default registry disabled, which turns every instrumentation point into
 a single-branch no-op.
@@ -18,9 +19,10 @@ a single-branch no-op.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import re
-from typing import Callable
+from typing import Callable, Iterator, NamedTuple
 
 from repro.obs.events import (
     HOOKS,
@@ -167,6 +169,40 @@ def metric_pattern_for(name: str) -> str | None:
     return None
 
 
+class ObsState(NamedTuple):
+    """One (registry, tracer, events) triple, as :func:`scope` installs it."""
+
+    registry: Registry
+    tracer: Tracer
+    events: ProtocolEvents
+
+
+@contextlib.contextmanager
+def scope(state: ObsState | None = None, *,
+          enabled: bool = True) -> Iterator[ObsState]:
+    """Install an obs triple for a ``with`` block, then restore the old one.
+
+    Without ``state`` a fresh triple is built around a new registry
+    (``enabled`` as given), so the block's counters, spans and hook
+    subscribers see only what runs inside it.  Passing the state an
+    earlier scope yielded re-enters that same triple.
+    """
+    if state is None:
+        registry = Registry(enabled=enabled)
+        state = ObsState(registry, Tracer(registry=registry),
+                         ProtocolEvents(registry=registry))
+    saved = ObsState(get_registry(), get_tracer(), get_events())
+    set_registry(state.registry)
+    set_tracer(state.tracer)
+    set_events(state.events)
+    try:
+        yield state
+    finally:
+        set_registry(saved.registry)
+        set_tracer(saved.tracer)
+        set_events(saved.events)
+
+
 def timed_handler(name: str, handler: Callable) -> Callable:
     """Wrap a broker/endpoint message handler with call + latency metrics.
 
@@ -195,6 +231,7 @@ __all__ = [
     "Histogram",
     "InternedCounter",
     "InternedHistogram",
+    "ObsState",
     "ProtocolEvents",
     "Registry",
     "Span",
@@ -205,6 +242,7 @@ __all__ = [
     "get_tracer",
     "metric_pattern_for",
     "on",
+    "scope",
     "set_events",
     "set_registry",
     "set_tracer",

@@ -11,6 +11,7 @@ from repro.bench import fixtures
 from repro.bench.timing import (
     PAIRED_BEST_OF,
     OpTiming,
+    fastest_interleaved,
     mean_total,
     overhead_pct,
     paired_timed,
@@ -81,6 +82,28 @@ class TestTimingMath:
         # only the kept sample is recorded
         assert registry.histogram("bench.pair.a.total_ms").count == 1
 
+    def test_fastest_interleaved_takes_turns_and_keeps_the_fastest(self):
+        net = SimNetwork(clock=VirtualClock())
+        net.register("dst", lambda f: None)
+        calls = []
+        sizes = {"a": iter([100_000, 1, 50_000]), "b": iter([1, 100_000, 50_000])}
+
+        def op(side):
+            def send():
+                calls.append(side)
+                net.send("src", "dst", b"x" * next(sizes[side]))
+            return (net, send)
+
+        with obs.scope() as state:
+            kept = fastest_interleaved([op("a"), op("b")], rounds=3,
+                                       names=["fast.a", None])
+        assert calls == ["a", "b"] * 3
+        small = timed_call(net, lambda: net.send("src", "dst", b"x"))
+        assert [t.network_s for t in kept] == [
+            pytest.approx(small.network_s)] * 2
+        assert state.registry.histogram("bench.fast.a.total_ms").count == 1
+        assert state.registry.histogram("bench.fast.b.total_ms").count == 0
+
 
 class TestFixtures:
     def test_cached_keypair_is_cached(self):
@@ -135,6 +158,48 @@ class TestMiniExperiments:
         stateless_growth = points[1].stateless_s / points[0].stateless_s
         tls_growth = points[1].tls_s / points[0].tls_s
         assert stateless_growth > tls_growth
+
+
+class TestPaperPrimitivesPayRsa:
+    """A3 and A4 time the paper's stateless primitive, whatever policy
+    they are handed: every timed secure send pays its RSA."""
+
+    @pytest.fixture()
+    def private_ops(self, monkeypatch):
+        """``crypto.rsa.private_op`` delta of each timed call, by the
+        call's sample name (or the timed function's name)."""
+        from repro.bench import experiments, timing
+
+        real = timing.timed_call
+        counts: dict[str, list[int]] = {}
+
+        def counting(network, fn, cpu_scale=1.0, name=None):
+            registry = obs.get_registry()
+            before = registry.count("crypto.rsa.private_op")
+            result = real(network, fn, cpu_scale, name=name)
+            counts.setdefault(name or fn.__name__, []).append(
+                registry.count("crypto.rsa.private_op") - before)
+            return result
+
+        monkeypatch.setattr(timing, "timed_call", counting)
+        monkeypatch.setattr(experiments, "timed_call", counting)
+        with obs.scope():
+            yield counts
+
+    def test_a4_stateless_signs_and_unwraps_every_message(self, private_ops):
+        from repro.bench.experiments import A4_BEST_OF, baseline_comparison
+
+        baseline_comparison(message_counts=(5,),
+                            policy=FAST_POLICY.with_(enable_resumption=True))
+        assert private_ops["stateless_run"] == [10] * A4_BEST_OF
+
+    def test_a3_iterated_send_signs_and_unwraps_per_member(self, private_ops):
+        from repro.bench.experiments import group_scaling
+
+        group_scaling(group_sizes=(4,), policy=FAST_POLICY.with_(
+            enable_resumption=True, enable_seal_many=True))
+        # two timed group sends, each to 3 members
+        assert private_ops["a3.secure_group.4"] == [6, 6]
 
 
 class TestReportFormatting:

@@ -1,16 +1,11 @@
-"""E-GROUP harness: cell sanity, the regression gate's failure modes."""
+"""E-GROUP harness: cell sanity, the declared gates' failure modes."""
 
 from __future__ import annotations
 
 import copy
-import json
 
-from repro.bench.group import (
-    _cast_cell,
-    check_group_regression,
-    gate,
-    write_bench_group,
-)
+from repro.bench.experiment import compare
+from repro.bench.group import EXPERIMENT, _cast_cell
 
 
 def small_doc():
@@ -36,6 +31,10 @@ class TestCastCell:
         cell = _cast_cell(4, 2, messages=2)
         assert cell.relayed_per_cast == 1.0
         assert cell.delivered_per_cast == 3.0
+
+
+def check_group_regression(fresh, baseline):
+    return compare(fresh, baseline, EXPERIMENT.gates)
 
 
 class TestRegressionGate:
@@ -71,10 +70,16 @@ class TestRegressionGate:
         problems = check_group_regression(fresh, base)
         assert any("its own checks" in p for p in problems)
 
-    def test_gate_cli_roundtrip(self, tmp_path):
+    def test_gate_cli_roundtrip(self, run_cli):
+        """``--experiment group`` writes the run and exits 0 on a pass,
+        1 on a failed self-check."""
         doc = small_doc()
-        fresh = write_bench_group(doc, tmp_path / "fresh.json")
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps(doc), encoding="utf-8")
-        assert gate(str(fresh), str(baseline)) == 0
-        assert gate(str(tmp_path / "nope.json"), str(baseline)) == 2
+        result = run_cli(EXPERIMENT, doc, doc, plain_format=True)
+        assert result.code == 0, result.out
+        assert result.written == doc
+        failed = copy.deepcopy(doc)
+        failed["checks"] = {"all_passed": False, "o1_rsa_flat": False}
+        result = run_cli(EXPERIMENT, failed, plain_format=True)
+        assert result.code == 1
+        assert ("FAIL: fresh run failed its own checks: ['o1_rsa_flat']"
+                in result.out)

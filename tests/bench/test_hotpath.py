@@ -9,9 +9,15 @@ from types import SimpleNamespace
 import pytest
 
 from repro.bench import profile
+from repro.bench.experiment import compare
 from repro.crypto import aead, resume
 
 REPO = Path(__file__).resolve().parents[2]
+BASELINE = REPO / profile.EXPERIMENT.baseline_path
+
+
+def check_regression(fresh: dict, baseline: dict) -> list[str]:
+    return compare(fresh, baseline, profile.EXPERIMENT.gates)
 
 
 def _tiny_document(ratio: float = 5.0, all_passed: bool = True) -> dict:
@@ -67,34 +73,40 @@ class TestLayerLadder:
 class TestRegressionGate:
     def test_equal_runs_pass(self):
         doc = _tiny_document()
-        assert profile.check_regression(doc, doc) == []
+        assert check_regression(doc, doc) == []
 
     def test_regressed_speedup_fails(self):
         """The resumed path losing 21 % of its speed relative to plain."""
         baseline = _tiny_document(ratio=5.0)
         fresh = _tiny_document(ratio=5.0 * 1.21)  # just past the 20% band
-        problems = profile.check_regression(fresh, baseline)
-        assert any("regressed" in p for p in problems)
+        problems = check_regression(fresh, baseline)
+        assert any("x_vs_plain" in p and "max bound" in p for p in problems)
 
     def test_drop_within_tolerance_passes(self):
         baseline = _tiny_document(ratio=5.0)
         fresh = _tiny_document(ratio=5.0 * 1.15)
-        assert profile.check_regression(fresh, baseline) == []
+        assert check_regression(fresh, baseline) == []
 
     def test_failed_checks_fail_the_gate(self):
         doc = _tiny_document(all_passed=False)
-        problems = profile.check_regression(doc, doc)
+        problems = check_regression(doc, doc)
         assert any("failed its own checks" in p for p in problems)
 
-    def test_gate_cli(self, tmp_path):
-        fresh = tmp_path / "fresh.json"
-        base = tmp_path / "base.json"
-        fresh.write_text(json.dumps(_tiny_document(5.5)))
-        base.write_text(json.dumps(_tiny_document(5.0)))
-        assert profile.gate(str(fresh), str(base)) == 0
-        fresh.write_text(json.dumps(_tiny_document(7.5)))
-        assert profile.gate(str(fresh), str(base)) == 1
-        assert profile.gate(str(tmp_path / "missing.json"), str(base)) == 2
+    def test_gate_cli(self, run_cli):
+        """``--experiment hotpath`` writes the run and exits 0 inside the
+        band, 1 past it."""
+        base = _tiny_document(5.0)
+        result = run_cli(profile.EXPERIMENT, _tiny_document(5.5), base,
+                         plain_format=True)
+        assert result.code == 0, result.out
+        assert result.written == _tiny_document(5.5)
+        assert ("checks + gates vs benchmarks/baselines/BENCH_HOTPATH.json: "
+                "pass") in result.out
+        result = run_cli(profile.EXPERIMENT, _tiny_document(7.5),
+                         plain_format=True)
+        assert result.code == 1
+        assert (f"FAIL: layers[layer={profile.GATED_LAYER}] x_vs_plain: 7.5 "
+                "breaks the max bound 6") in result.out
 
     def test_slowed_resumed_aead_trips_the_gate(self, monkeypatch):
         """A real ladder whose resumed frames pay five AEAD passes each
@@ -110,10 +122,10 @@ class TestRegressionGate:
             seal=slow(aead.seal), open_=slow(aead.open_)))
         rows = profile.layer_ladder(messages=10, trials=3)
         fresh = {"layers": rows, "checks": profile._checks(rows)}
-        baseline = json.loads(
-            (REPO / profile.BASELINE_PATH).read_text(encoding="utf-8"))
-        problems = profile.check_regression(fresh, baseline)
-        assert any("cost ratio regressed" in p for p in problems), problems
+        baseline = json.loads(BASELINE.read_text(encoding="utf-8"))
+        problems = check_regression(fresh, baseline)
+        assert any("x_vs_plain" in p and "max bound" in p
+                   for p in problems), problems
 
 
 class TestLayerTableDocs:
@@ -154,12 +166,10 @@ class TestCommittedArtifacts:
     """The repo's own baseline and docs must satisfy the gates."""
 
     def test_committed_baseline_passes_its_checks(self):
-        baseline = json.loads(
-            (REPO / profile.BASELINE_PATH).read_text(encoding="utf-8"))
+        baseline = json.loads(BASELINE.read_text(encoding="utf-8"))
         assert baseline["checks"]["all_passed"]
-        assert profile.check_regression(baseline, baseline) == []
+        assert check_regression(baseline, baseline) == []
 
     def test_performance_doc_matches_committed_baseline(self):
         assert profile.check_docs(
-            str(REPO / profile.PERFORMANCE_DOC),
-            str(REPO / profile.BASELINE_PATH)) == 0
+            str(REPO / profile.PERFORMANCE_DOC), str(BASELINE)) == 0

@@ -1,4 +1,4 @@
-"""E-SCALE harness: quick run sanity, the regression gate's failure modes."""
+"""E-SCALE harness: quick run sanity, the declared gates' failure modes."""
 
 from __future__ import annotations
 
@@ -7,13 +7,8 @@ import json
 
 import pytest
 
-from repro.bench.scale import (
-    check_scale_regression,
-    format_scale,
-    gate,
-    scale_report,
-    write_bench_scale,
-)
+from repro.bench.experiment import compare
+from repro.bench.scale import EXPERIMENT, format_scale, scale_report
 
 PHASE_NAMES = ["ramp", "flash-crowd", "brownout", "siege", "recovery"]
 
@@ -52,6 +47,10 @@ class TestQuickRun:
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(quick_doc), encoding="utf-8")
         assert json.loads(path.read_text(encoding="utf-8")) == quick_doc
+
+
+def check_scale_regression(fresh, baseline):
+    return compare(fresh, baseline, EXPERIMENT.gates)
 
 
 def small_doc():
@@ -93,7 +92,7 @@ class TestRegressionGate:
         fresh = copy.deepcopy(base)
         fresh["checks"] = {"all_passed": False, "sybil_none_accepted": False}
         problems = check_scale_regression(fresh, base)
-        assert any("acceptance checks" in p for p in problems)
+        assert any("failed its own checks" in p for p in problems)
         assert any("sybil_none_accepted" in p for p in problems)
 
     def test_frame_growth_past_tolerance_fails(self):
@@ -101,7 +100,8 @@ class TestRegressionGate:
         fresh = copy.deepcopy(base)
         fresh["phases"][0]["goodput"]["frames_sent"] = 1_300
         problems = check_scale_regression(fresh, base)
-        assert any("frames_sent regressed" in p for p in problems)
+        assert any("frames_sent" in p and "max bound" in p
+                   for p in problems)
 
     def test_frame_growth_within_tolerance_passes(self):
         base = small_doc()
@@ -114,7 +114,8 @@ class TestRegressionGate:
         fresh = copy.deepcopy(base)
         fresh["phases"][1]["rejects"]["wire"] = {"wire.reject.x.bad": 5}
         problems = check_scale_regression(fresh, base)
-        assert any("taxonomy shrank" in p for p in problems)
+        assert any("reject_total" in p and "min bound" in p
+                   for p in problems)
 
     def test_missing_phase_fails(self):
         base = small_doc()
@@ -129,21 +130,25 @@ class TestRegressionGate:
         fresh["brokers"] = 4
         fresh["population"] = 1_000
         problems = check_scale_regression(fresh, base)
-        assert any("brokers changed" in p for p in problems)
-        assert any("population changed" in p for p in problems)
+        assert any(p.startswith("brokers:") for p in problems)
+        assert any(p.startswith("population:") for p in problems)
 
-    def test_gate_cli_roundtrip(self, tmp_path):
+    def test_gate_cli_roundtrip(self, run_cli):
+        """``--experiment scale`` writes the run and exits 0 on a pass,
+        1 on a regressed gate."""
         doc = small_doc()
-        fresh = write_bench_scale(doc, tmp_path / "fresh.json")
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps(doc), encoding="utf-8")
-        assert gate(str(fresh), str(baseline)) == 0
-        assert gate(str(tmp_path / "nope.json"), str(baseline)) == 2
+        result = run_cli(EXPERIMENT, doc, doc, plain_format=True)
+        assert result.code == 0, result.out
+        assert result.written == doc
+        grown = copy.deepcopy(doc)
+        grown["phases"][0]["goodput"]["frames_sent"] = 1_300
+        result = run_cli(EXPERIMENT, grown, plain_format=True)
+        assert result.code == 1
+        assert "FAIL: phases[name=ramp] frames_sent: 1300" in result.out
 
 
 class TestCommittedBaseline:
     def test_quick_run_passes_the_committed_gate(self, quick_doc, tmp_path):
         baseline = json.loads(
-            open("benchmarks/baselines/BENCH_SCALE.json",
-                 encoding="utf-8").read())
+            open(EXPERIMENT.baseline_path, encoding="utf-8").read())
         assert check_scale_regression(quick_doc, baseline) == []

@@ -105,3 +105,40 @@ class TestFork:
 
 def test_system_drbg_differs_each_time():
     assert system_drbg().generate(32) != system_drbg().generate(32)
+
+
+class TestThreadSafety:
+    def test_concurrent_draws_never_repeat(self):
+        """8 threads drawing from one generator get distinct outputs.
+
+        A tiny switch interval makes the interpreter preempt inside
+        ``generate`` between reading and writing the state; without the
+        per-instance lock two threads then return the same block.
+        """
+        import sys
+        import threading
+
+        drbg = HmacDrbg(b"shared")
+        draws: list[list[bytes]] = [[] for _ in range(8)]
+        start = threading.Barrier(len(draws), timeout=30)
+
+        def worker(out: list[bytes]) -> None:
+            start.wait()
+            for _ in range(3_000):
+                out.append(drbg.generate(16))
+
+        threads = [threading.Thread(target=worker, args=(out,))
+                   for out in draws]
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(saved)
+        assert not any(thread.is_alive() for thread in threads)
+        flat = [value for out in draws for value in out]
+        assert len(flat) == 24_000
+        assert len(set(flat)) == len(flat)

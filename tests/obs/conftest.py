@@ -15,13 +15,5 @@ def fresh_obs():
     Tests using this fixture see only their own recordings, regardless of
     what the rest of the session did to the process-default instances.
     """
-    saved = (obs.get_registry(), obs.get_tracer(), obs.get_events())
-    registry = obs.set_registry(obs.Registry(enabled=True))
-    obs.set_tracer(obs.Tracer(registry=registry))
-    obs.set_events(obs.ProtocolEvents(registry=registry))
-    try:
-        yield registry
-    finally:
-        obs.set_registry(saved[0])
-        obs.set_tracer(saved[1])
-        obs.set_events(saved[2])
+    with obs.scope() as state:
+        yield state.registry
