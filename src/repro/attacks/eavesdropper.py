@@ -7,8 +7,7 @@ passwords and chat text; against the secure primitives it sees only
 envelopes.
 
 The tap installs on any :class:`~repro.net.adversary.AdversarySurface`:
-hand :meth:`attach` a :class:`~repro.sim.network.SimNetwork`, a
-:class:`~repro.net.sim.SimTransport` or a
+hand :meth:`attach` a :class:`~repro.sim.network.SimNetwork` or a
 :class:`~repro.net.tcp.TcpTransport` and the same eavesdropper observes
 the same frames (``tests/attacks/test_transport_parity.py`` pins this).
 """

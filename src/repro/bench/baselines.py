@@ -12,7 +12,7 @@ from repro.crypto.rsa import KeyPair
 from repro.errors import TransportError
 from repro.jxta.transport.cbjx import CbjxTransport
 from repro.jxta.transport.tls import TlsClient, TlsServer
-from repro.sim.network import Frame, SimNetwork
+from repro.net.base import Frame, Transport
 
 # 1-byte frame tags for the raw handshake/record protocol.
 _T_HELLO = b"\x01"
@@ -23,7 +23,7 @@ _T_RECORD = b"\x03"
 class TlsEchoServer:
     """A raw endpoint that performs the TLS handshake and echoes records."""
 
-    def __init__(self, network: SimNetwork, address: str, keys: KeyPair,
+    def __init__(self, network: Transport, address: str, keys: KeyPair,
                  drbg: HmacDrbg) -> None:
         self.network = network
         self.address = address
@@ -55,7 +55,7 @@ class TlsEchoServer:
 class TlsClientDriver:
     """Client side: handshake over the network, then echo round trips."""
 
-    def __init__(self, network: SimNetwork, address: str, server_address: str,
+    def __init__(self, network: Transport, address: str, server_address: str,
                  drbg: HmacDrbg) -> None:
         self.network = network
         self.address = address
@@ -91,7 +91,7 @@ class TlsClientDriver:
 class CbjxEchoPair:
     """Two endpoints exchanging CBJX-encapsulated datagrams."""
 
-    def __init__(self, network: SimNetwork, addr_a: str, addr_b: str,
+    def __init__(self, network: Transport, addr_a: str, addr_b: str,
                  keys_a: KeyPair, keys_b: KeyPair,
                  drbg: HmacDrbg) -> None:
         self.network = network

@@ -42,7 +42,6 @@ from repro.bench.timing import timed_call
 from repro.core.policy import SecurityPolicy
 from repro.crypto import envelope, signing
 from repro.net import linkq
-from repro.net.sim import SimTransport
 from repro.sim.network import SimNetwork
 
 #: group sizes of the fan-out sweep (recipients per message)
@@ -225,26 +224,25 @@ def _wire_cell(mode: str, load: str,
     """Drive one cell through a fresh simulator and read the wire stats."""
     net = SimNetwork()
     received: list[bytes] = []
-    rx = SimTransport(net)
-    rx.register("rx", lambda frame: received.append(frame.payload) or None)
-    tx = SimTransport(net)
+    net.register("rx", lambda frame: received.append(frame.payload) or None)
+    net.register("tx", lambda frame: None)
     policy = linkq.LinkPolicy()
     # "legacy" runs without a scheduler: the pre-batching wire.
     if mode != "legacy":
-        tx.configure_links(policy)
+        net.configure_links("tx", policy)
     if mode == "batched+zlib":
-        tx.set_link_compression("tx", "rx", 6)
+        net.set_link_compression("tx", "rx", 6)
     payloads = _wire_payloads(messages)
     units0 = net.stats.frames_sent
     bytes0 = net.stats.bytes_sent
     t0 = net.clock.now
     if load == "burst":
-        with tx.corked():
+        with net.corked("tx"):
             for payload in payloads:
-                tx.send("tx", "rx", payload)
+                net.send("tx", "rx", payload)
     else:
         for payload in payloads:
-            tx.send("tx", "rx", payload)
+            net.send("tx", "rx", payload)
             net.clock.advance(policy.idle_flush_s * 2)
     wire_units = net.stats.frames_sent - units0
     bytes_on_wire = net.stats.bytes_sent - bytes0

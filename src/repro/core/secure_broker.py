@@ -37,13 +37,12 @@ from repro.overlay.broker import Broker
 from repro.overlay.groupcast import Groupcast
 from repro.overlay import groupcast as gc
 from repro.overlay.database import UserDatabase
-from repro.sim.network import SimNetwork
 
 
 class SecureBroker(Broker):
     """Broker with the secureConnection / secureLogin functions installed."""
 
-    def __init__(self, network: SimNetwork | Transport, address: str,
+    def __init__(self, network: Transport, address: str,
                  database: UserDatabase,
                  drbg: HmacDrbg, keystore: Keystore, name: str = "",
                  policy: SecurityPolicy = DEFAULT_POLICY) -> None:
@@ -67,7 +66,7 @@ class SecureBroker(Broker):
         self._install_secure_functions()
 
     @classmethod
-    def create(cls, network: SimNetwork | Transport, address: str,
+    def create(cls, network: Transport, address: str,
                admin: Administrator,
                drbg: HmacDrbg, name: str = "",
                policy: SecurityPolicy = DEFAULT_POLICY,

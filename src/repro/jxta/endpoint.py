@@ -3,8 +3,7 @@
 Dispatches incoming frames to per-message-type handlers, mirroring
 JXTA's endpoint service.  The endpoint is **transport-agnostic**: it
 talks to any :class:`~repro.net.base.Transport` backend — the
-discrete-event simulator (:class:`~repro.net.sim.SimTransport`,
-auto-wrapped around a bare :class:`~repro.sim.network.SimNetwork`) or
+discrete-event simulator (:class:`~repro.sim.network.SimNetwork`) or
 real asyncio TCP sockets (:class:`~repro.net.tcp.TcpTransport`) — so
 the same overlay code serves simulated links and 127.0.0.1 sockets.
 
@@ -22,13 +21,12 @@ transport, and the connect/receive/close lifecycle hooks.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import Callable, Mapping
 
 from repro.errors import FrameTooLargeError, JxtaError, NetworkError, TransportError
 from repro.jxta.messages import Message
 from repro.jxta.transport.base import PlainTransport, SecureTransport
-from repro.net.base import Frame, Transport, as_transport
+from repro.net.base import Frame, Transport
 from repro.sim.metrics import Metrics
 
 MessageHandler = Callable[[Message, str], Message | None]
@@ -44,14 +42,12 @@ PeerHook = Callable[[str], None]
 class Endpoint:
     """A named attachment to a transport backend."""
 
-    def __init__(self, network, address: str,
+    def __init__(self, network: Transport, address: str,
                  transport: SecureTransport | None = None) -> None:
-        """Attach to ``network`` — a :class:`~repro.net.base.Transport`
-        or a bare :class:`~repro.sim.network.SimNetwork` (wrapped
-        transparently).  ``transport`` is the optional *secure*
-        (crypto) transport, kept under its historical name."""
+        """Attach to the backend ``network``.  ``transport`` is the
+        optional *secure* (crypto) transport, kept under its historical
+        name."""
         self.network = network
-        self.net: Transport = as_transport(network)
         self.address = address
         self.transport = transport if transport is not None else PlainTransport()
         self.metrics = Metrics()
@@ -62,38 +58,32 @@ class Endpoint:
         self._on_receive: ReceiveHook | None = None
         self._on_close: PeerHook | None = None
         self._closed = False
-        self.net.register(address, self._on_frame,
-                          on_connect=self._fire_connect,
-                          on_close=self._fire_close)
+        network.register(address, self._on_frame,
+                         on_connect=self._fire_connect,
+                         on_close=self._fire_close)
 
     @property
     def clock(self):
-        return self.net.clock
+        return self.network.clock
 
     # -- link scheduling -----------------------------------------------------
 
     def configure_links(self, policy=None, *, breaker_factory=None):
-        """Install a link scheduler on the transport underneath.
-
-        Returns the :class:`~repro.net.linkq.LinkScheduler`, or ``None``
-        when the backend has no link layer (discovered by capability,
-        not by type, so third-party transports stay valid).
-        """
-        configure = getattr(self.net, "configure_links", None)
-        if configure is None:
-            return None
-        return configure(policy, breaker_factory=breaker_factory)
+        """Give this endpoint's sends a link scheduler; returns it."""
+        return self.network.configure_links(
+            self.address, policy, breaker_factory=breaker_factory)
 
     def corked(self):
         """Coalesce sends inside the context into shared wire units.
 
-        A no-op context on transports without a link scheduler, so
-        fan-out loops may cork unconditionally.
+        A no-op context until :meth:`configure_links`, so fan-out loops
+        may cork unconditionally.
         """
-        corked = getattr(self.net, "corked", None)
-        if corked is None:
-            return nullcontext()
-        return corked()
+        return self.network.corked(self.address)
+
+    def set_link_compression(self, dst: str, level: int) -> None:
+        """Compress batches toward ``dst`` at the negotiated zlib level."""
+        self.network.set_link_compression(self.address, dst, level)
 
     # -- declarative configuration -----------------------------------------
 
@@ -164,7 +154,7 @@ class Endpoint:
         self._closed = True
         self._handlers.clear()
         self._default_handler = None
-        self.net.unregister(self.address)
+        self.network.unregister(self.address)
 
     @property
     def closed(self) -> bool:
@@ -241,7 +231,7 @@ class Endpoint:
         wire = self.transport.wrap(message.to_wire(), peer=dst, local=self.address)
         self.metrics.incr("tx.messages")
         self.metrics.incr("tx.bytes", len(wire))
-        return self.net.send(self.address, dst, wire)
+        return self.network.send(self.address, dst, wire)
 
     def request(self, dst: str, message: Message) -> Message:
         """Round-trip request/response exchange.
@@ -254,7 +244,7 @@ class Endpoint:
         wire = self.transport.wrap(message.to_wire(), peer=dst, local=self.address)
         self.metrics.incr("tx.requests")
         self.metrics.incr("tx.bytes", len(wire))
-        raw = self.net.request(self.address, dst, wire)
+        raw = self.network.request(self.address, dst, wire)
         plain = self.transport.unwrap(raw, peer=dst, local=self.address)
         try:
             return Message.from_wire(plain)

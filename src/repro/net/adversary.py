@@ -1,28 +1,22 @@
 """Adversary hooks as part of the transport contract.
 
-The simulator has always exposed the §2.3 threat surface directly:
-**taps** passively observe every frame and **interceptors** may
-rewrite, redirect or drop them (:mod:`repro.sim.network`).  The attack
-drivers in :mod:`repro.attacks` and the fault injector in
-:mod:`repro.sim.faults` are built on those two hooks.
+The §2.3 threat surface is two hooks: **taps** passively observe every
+frame and **interceptors** may rewrite, redirect or drop them.  The
+attack drivers in :mod:`repro.attacks` and the fault injector in
+:mod:`repro.sim.faults` are built on those two hooks, and both
+backends offer them, so the same adversary code runs against either:
 
-This module promotes that surface to the :class:`~repro.net.base.
-Transport` contract so the same adversary code runs against any
-backend:
-
-* :class:`~repro.sim.network.SimNetwork` implements the surface
-  natively (frames cross it mid-wire);
-* :class:`~repro.net.sim.SimTransport` delegates to its network;
+* :class:`~repro.sim.network.SimNetwork` runs the chain mid-wire, on
+  every delivered unit (a BATCH unit is one frame to the chain);
 * :class:`~repro.net.tcp.TcpTransport` applies an equivalent chain on
   its outbound path — every ``send`` datagram, the request leg before
   the socket write and the response leg after it — which covers all
   traffic whenever the processes under attack share the transport
   object (the in-process attack-evaluation setup).
 
-:func:`adversary_surface` is the coercion helper attack code calls:
-give it whatever the caller holds — a bare network, a transport, or
-anything already exposing the hooks — and it returns the object to
-install taps and interceptors on.
+:func:`adversary_surface` is the check attack code calls on whatever
+backend it was handed; it returns the object to install taps and
+interceptors on.
 """
 
 from __future__ import annotations
@@ -52,9 +46,8 @@ class Interceptor(Protocol):
 class AdversarySurface(Protocol):
     """Where taps and interceptors are installed.
 
-    Both simulator classes and :class:`~repro.net.tcp.TcpTransport`
-    satisfy this; :func:`adversary_surface` finds it from whatever
-    handle the attack code was given.
+    :class:`~repro.sim.network.SimNetwork` and
+    :class:`~repro.net.tcp.TcpTransport` both satisfy this.
     """
 
     def add_tap(self, tap: Tap) -> None: ...
@@ -67,18 +60,9 @@ class AdversarySurface(Protocol):
 
 
 def adversary_surface(backend) -> AdversarySurface:
-    """The tap/interceptor surface behind ``backend``.
-
-    Accepts a :class:`~repro.sim.network.SimNetwork`, any transport
-    exposing the hooks itself (:class:`~repro.net.tcp.TcpTransport`),
-    or a wrapper holding a ``.network`` that does
-    (:class:`~repro.net.sim.SimTransport`).
-    """
+    """``backend`` itself, once it is known to expose the hooks."""
     if isinstance(backend, AdversarySurface):
         return backend
-    inner = getattr(backend, "network", None)
-    if inner is not None and isinstance(inner, AdversarySurface):
-        return inner
     raise TypeError(
         f"{type(backend).__name__} exposes no adversary surface "
         "(add_tap/add_interceptor)")

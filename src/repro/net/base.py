@@ -3,7 +3,7 @@
 A :class:`Transport` moves **serialized frame bytes** between named
 addresses.  Two backends implement it:
 
-* :class:`repro.net.sim.SimTransport` — the discrete-event simulator
+* :class:`repro.sim.network.SimNetwork` — the discrete-event simulator
   (deterministic; the test harness),
 * :class:`repro.net.tcp.TcpTransport` — real asyncio TCP sockets with
   length-prefixed framing (the production path).
@@ -23,6 +23,13 @@ receive / close), are delivered per registration:
   synthesized at unregister time on the simulator).
 
 Message-level ``on_receive`` lives on the endpoint, after decode.
+
+Link scheduling (:mod:`repro.net.linkq`) is per registered address on
+both backends: ``configure_links(address, ...)`` gives that address a
+scheduler, ``corked(address)`` batches its sends, and
+``set_link_compression(src, ...)`` tunes the scheduler of ``src``.  An
+address that never configured links sends the legacy
+one-frame-per-unit wire.
 """
 
 from __future__ import annotations
@@ -83,7 +90,9 @@ class Transport(Protocol):
     * :meth:`send` raises :class:`~repro.errors.NetworkError` for an
       unknown destination and returns ``False`` on best-effort loss;
     * :meth:`request` raises :class:`~repro.errors.NetworkError` when
-      the exchange fails or the responder does not answer.
+      the exchange fails or the responder does not answer;
+    * :meth:`unregister` flushes the address's link queues, fires
+      ``on_close`` for its peers and forgets everything it held.
     """
 
     clock: TransportClock
@@ -100,23 +109,9 @@ class Transport(Protocol):
 
     def request(self, src: str, dst: str, payload: bytes) -> bytes: ...
 
+    def configure_links(self, address: str, policy=None, *,
+                        breaker_factory=None): ...
 
-def as_transport(backend) -> "Transport":
-    """Coerce ``backend`` into a :class:`Transport`.
+    def corked(self, address: str): ...
 
-    Accepts a ready transport unchanged; a bare
-    :class:`~repro.sim.network.SimNetwork` is wrapped in a
-    :class:`~repro.net.sim.SimTransport`, which is what keeps every
-    pre-redesign ``Endpoint(network, address)`` call site working.
-    """
-    # Imported lazily: repro.sim.network re-exports our Frame, so a
-    # module-level import here would cycle through the package.
-    from repro.sim.network import SimNetwork
-
-    if isinstance(backend, SimNetwork):
-        from repro.net.sim import SimTransport
-        return SimTransport(backend)
-    if isinstance(backend, Transport):
-        return backend
-    raise TypeError(
-        f"expected a Transport or SimNetwork, got {type(backend).__name__}")
+    def set_link_compression(self, src: str, dst: str, level: int) -> None: ...

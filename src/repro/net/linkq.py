@@ -30,11 +30,12 @@ optional ``defer(delay, callback)`` timer hook (the TCP backend arms
 ``loop.call_later``; the simulator drains queues deterministically at
 the outermost network-operation boundary instead).
 
-Batching only exists where it is asked for: no scheduler is created
-until ``configure_links`` is called on a transport, and without one the
-wire is the legacy one-frame-per-unit wire byte-for-byte, which the
-backend-parity suite checks.  Compression likewise applies only on links
-that negotiated a nonzero level.
+Batching only exists where it is asked for: a scheduler belongs to one
+registered address and is created only when that address calls
+``configure_links(address, ...)`` on its transport (either backend);
+every other address sends the legacy one-frame-per-unit wire
+byte-for-byte, which the backend-parity suite checks.  Compression
+likewise applies only on links that negotiated a nonzero level.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from repro.net import framing
 
 @dataclass(frozen=True)
 class LinkPolicy:
-    """Tuning knobs for one transport's link scheduler."""
+    """Tuning knobs for one endpoint's link scheduler."""
 
     #: most frames one BATCH wire unit may carry
     max_batch_frames: int = 16
@@ -125,7 +126,7 @@ class _LinkQueue:
 
 
 class LinkScheduler:
-    """Per-link send queues with adaptive flush for one transport.
+    """Per-link send queues with adaptive flush for one endpoint address.
 
     Thread-safe: the TCP backend enqueues from worker threads and
     pumps from timer callbacks; the simulator is single-threaded and

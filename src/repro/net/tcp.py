@@ -35,9 +35,8 @@ import concurrent.futures
 import itertools
 import struct
 import threading
-from dataclasses import dataclass, field
-
 from contextlib import nullcontext
+from dataclasses import dataclass, field
 
 from repro import obs
 from repro.errors import NetworkError
@@ -59,6 +58,7 @@ class _EndpointState:
     server: asyncio.AbstractServer | None = None
     #: inbound connection writers (server side), for drain-on-unregister
     inbound: set[asyncio.StreamWriter] = field(default_factory=set)
+    scheduler: linkq.LinkScheduler | None = None
 
 
 class _Conn:
@@ -97,7 +97,6 @@ class TcpTransport:
         self._pending: dict[int, tuple[concurrent.futures.Future, str]] = {}
         self._req_ids = itertools.count(1)
         self._closed = False
-        self.scheduler: linkq.LinkScheduler | None = None
         self._taps: list = []
         self._interceptors: list = []
 
@@ -127,16 +126,20 @@ class TcpTransport:
 
     # -- link scheduling ---------------------------------------------------
 
-    def configure_links(self, policy: linkq.LinkPolicy | None = None, *,
+    def configure_links(self, address: str,
+                        policy: linkq.LinkPolicy | None = None, *,
                         breaker_factory=None) -> linkq.LinkScheduler:
-        """Install (or replace) the link scheduler for this transport.
+        """Install (or replace) the link scheduler for ``address``'s sends.
 
         Datagrams to a busy link coalesce into BATCH wire units — one
         ``writer.write`` per flush — with the adaptive window armed as
         an event-loop timer; an idle link still flushes immediately,
         so request/response latency is untouched.
         """
-        self.scheduler = linkq.LinkScheduler(
+        state = self._endpoints.get(address)
+        if state is None:
+            raise NetworkError(f"no endpoint registered at {address!r}")
+        state.scheduler = linkq.LinkScheduler(
             policy if policy is not None else linkq.LinkPolicy(),
             clock_now=lambda: self.clock.now,
             send_single=lambda src, dst, payload: self._wire_send(
@@ -145,7 +148,11 @@ class TcpTransport:
                 src, dst, framing.KIND_BATCH, payload),
             breaker_factory=breaker_factory,
             defer=self._arm_flush_timer)
-        return self.scheduler
+        return state.scheduler
+
+    def _scheduler(self, address: str) -> linkq.LinkScheduler | None:
+        state = self._endpoints.get(address)
+        return state.scheduler if state is not None else None
 
     def _arm_flush_timer(self, delay: float, callback) -> None:
         """Run ``callback`` on the worker pool after ``delay`` seconds."""
@@ -162,16 +169,18 @@ class TcpTransport:
             return
         loop.call_soon_threadsafe(loop.call_later, delay, fire)
 
-    def corked(self):
-        """Batch every send inside the context into shared wire units."""
-        if self.scheduler is None:
+    def corked(self, address: str):
+        """Batch ``address``'s sends inside the context into shared units."""
+        scheduler = self._scheduler(address)
+        if scheduler is None:
             return nullcontext()
-        return self.scheduler.corked()
+        return scheduler.corked()
 
     def set_link_compression(self, src: str, dst: str, level: int) -> None:
-        if self.scheduler is None:
+        scheduler = self._scheduler(src)
+        if scheduler is None:
             raise NetworkError("configure_links() before negotiating compression")
-        self.scheduler.set_link_compression(src, dst, level)
+        scheduler.set_link_compression(src, dst, level)
 
     # -- registration ------------------------------------------------------
 
@@ -465,7 +474,7 @@ class TcpTransport:
             obs.get_registry().incr("net.tcp.frames_dropped")
             return False
         src, dst, payload = out.src, out.dst, out.payload
-        scheduler = self.scheduler
+        scheduler = self._scheduler(src)
         if scheduler is None:
             return self._wire_send(src, dst, framing.KIND_DATA, payload)
         # coalesce=None: the idle heuristic — a quiet link flushes this
@@ -481,10 +490,11 @@ class TcpTransport:
         if out is None or out.dst not in self._directory:
             raise NetworkError(f"request from {src!r} to {dst!r} was dropped")
         dst, payload = out.dst, out.payload
-        if self.scheduler is not None:
+        scheduler = self._scheduler(src)
+        if scheduler is not None:
             # Ordering barrier: datagrams queued to this link must hit
             # the wire before the request does.
-            self.scheduler.flush_link(src, dst)
+            scheduler.flush_link(src, dst)
         req_id = next(self._req_ids)
         future: concurrent.futures.Future = concurrent.futures.Future()
         self._pending[req_id] = (future, src)
@@ -520,12 +530,14 @@ class TcpTransport:
     def unregister(self, address: str) -> None:
         """Drop an endpoint and drain everything attached to it.
 
-        Closes its listening socket, every inbound connection, every
-        pooled outbound connection it originated, and fails its pending
-        requests — so a closed endpoint can never leak connections.
+        Flushes its link queues, then closes its listening socket, every
+        inbound connection, every pooled outbound connection it
+        originated, and fails its pending requests — so a closed
+        endpoint can never leak connections.
         """
-        if self.scheduler is not None:
-            self.scheduler.flush_for(address)
+        scheduler = self._scheduler(address)
+        if scheduler is not None:
+            scheduler.flush_for(address)
         with self._lock:
             state = self._endpoints.pop(address, None)
             self._directory.pop(address, None)
@@ -572,8 +584,6 @@ class TcpTransport:
             if self._closed:
                 return
             addresses = list(self._endpoints)
-        if self.scheduler is not None:
-            self.scheduler.flush_all()
         for address in addresses:
             self.unregister(address)
         with self._lock:

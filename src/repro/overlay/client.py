@@ -64,7 +64,6 @@ from repro.overlay.policy import (
 from repro.overlay.primitives import current_primitive, primitive
 from repro.overlay.results import PrimitiveResult
 from repro.net.base import Transport
-from repro.sim.network import SimNetwork
 from repro.sim.scheduler import EventHandle, Scheduler
 from repro.xmllib import Element
 
@@ -86,7 +85,7 @@ def _fail_reason(resp: Message) -> str:
 class ClientPeer(LinkCapsMixin):
     """A JXTA-Overlay client peer (one end-user application instance)."""
 
-    def __init__(self, network: "SimNetwork | Transport", address: str,
+    def __init__(self, network: Transport, address: str,
                  drbg: HmacDrbg, name: str = "") -> None:
         self.control = ControlModule(network, address, drbg)
         self.name = name or address

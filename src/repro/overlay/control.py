@@ -21,7 +21,6 @@ from repro.jxta.transport.base import SecureTransport
 from repro.net.base import Transport
 from repro.overlay.events import EventBus
 from repro.sim.metrics import Metrics
-from repro.sim.network import SimNetwork
 from repro.xmllib import Element
 
 RESULTS_TAG = "Results"
@@ -63,13 +62,12 @@ def merge_results(*element_lists: list[Element]) -> list[Element]:
 class ControlModule:
     """Endpoint + pipes + advertisement cache for one overlay entity."""
 
-    def __init__(self, network: SimNetwork | Transport, address: str,
+    def __init__(self, network: Transport, address: str,
                  drbg: HmacDrbg, adv_lifetime: float = 3600.0,
                  transport: SecureTransport | None = None) -> None:
-        """``network`` may be the simulator or any
-        :class:`~repro.net.base.Transport` backend (e.g. a
-        :class:`~repro.net.tcp.TcpTransport`); the whole overlay stack
-        above this module is backend-agnostic."""
+        """``network`` is any :class:`~repro.net.base.Transport` backend
+        (the simulator or a :class:`~repro.net.tcp.TcpTransport`); the
+        whole overlay stack above this module is backend-agnostic."""
         self.network = network
         self.clock = network.clock
         self.drbg = drbg

@@ -6,8 +6,8 @@ zlib level it is willing to spend (``link_caps_req``); the responder
 answers with the codec and level it actually selected
 (``link_caps_ok``) and seeds its *own* outbound compression toward the
 requester with the same level, so one round trip configures the link
-symmetrically.  A responder without a link scheduler (or with
-compression disabled by policy) answers ``codec="none"``, which keeps
+symmetrically.  A responder that never enabled link batching (or
+disabled compression by policy) answers ``codec="none"``, which keeps
 the exchange harmless against any endpoint.
 
 The mixin assumes the host class provides ``self.control`` (a
@@ -39,11 +39,10 @@ class LinkCapsMixin:
 
     def enable_link_batching(self, policy: LinkPolicy | None = None, *,
                              breaker_factory=None):
-        """Install a link scheduler on this entity's transport.
+        """Give this entity's sends a link scheduler; returns it.
 
-        Returns the scheduler (or ``None`` on a backend without a link
-        layer).  Batching stays off for everyone who does not call
-        this — the legacy one-frame-per-send wire is the default.
+        Batching stays off for everyone who does not call this — the
+        legacy one-frame-per-send wire is the default.
         """
         policy = policy if policy is not None else DEFAULT_LINK_POLICY
         self.link_policy = policy
@@ -81,7 +80,7 @@ class LinkCapsMixin:
         level = min(int(frame["level"]), policy.compress_level)
         if level <= 0:
             return 0
-        self._apply_link_compression(dst, level)
+        self.control.endpoint.set_link_compression(dst, level)
         return level
 
     def fn_link_caps(self, message: Message, src: str) -> Message:
@@ -96,18 +95,9 @@ class LinkCapsMixin:
                 and isinstance(offered_codecs, list)
                 and "zlib" in offered_codecs):
             level = min(offered_level, policy.compress_level)
-        if level > 0 and not self._apply_link_compression(src, level):
-            level = 0
+        if level > 0:
+            self.control.endpoint.set_link_compression(src, level)
         out = Message("link_caps_ok")
         out.add_text("codec", "zlib" if level > 0 else "none")
         out.add_text("level", str(level))
         return out
-
-    def _apply_link_compression(self, dst: str, level: int) -> bool:
-        """Seed outbound compression toward ``dst``; False if no scheduler."""
-        net = self.control.endpoint.net
-        setter = getattr(net, "set_link_compression", None)
-        if setter is None or getattr(net, "scheduler", None) is None:
-            return False
-        setter(self.address, dst, level)
-        return True

@@ -146,8 +146,8 @@ class SybilFlood(Adversary):
         for req in burst:
             self.attempts += 1
             try:
-                raw = ctx.transport.request(self.attacker_address,
-                                            self.target.address, req.to_wire())
+                raw = ctx.network.request(self.attacker_address,
+                                          self.target.address, req.to_wire())
                 msg_type = Message.from_wire(raw).msg_type
             except ReproError:
                 msg_type = "no_response"
@@ -186,7 +186,7 @@ class EclipseAttack(Adversary):
         # syncs back at whatever roster it accepted.
         for address in self.rogue_addresses():
             try:
-                ctx.transport.register(address, lambda frame: None)
+                ctx.network.register(address, lambda frame: None)
             except NetworkError:
                 pass  # already attached in an earlier phase
 
@@ -204,8 +204,8 @@ class EclipseAttack(Adversary):
             req.add_json("members", self._poison_roster())
             self.link_attempts += 1
             try:
-                raw = ctx.transport.request(rogue, target.address,
-                                            req.to_wire())
+                raw = ctx.network.request(rogue, target.address,
+                                          req.to_wire())
                 if raw is not None and \
                         Message.from_wire(raw).msg_type == "fed_link_ok":
                     self.link_ok += 1
@@ -268,7 +268,7 @@ class FrameStorm(Adversary):
                                                   % len(self._corpus)]
             target = self._targets[self._cursor % len(self._targets)]
             self._cursor += 1
-            ctx.transport.send(self.attacker_address, target, payload)
+            ctx.network.send(self.attacker_address, target, payload)
             self.frames_sent += 1
             self.labels[reason] += 1
 

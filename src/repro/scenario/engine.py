@@ -29,6 +29,7 @@ from typing import Mapping, Sequence
 from repro import obs
 from repro.crypto.drbg import HmacDrbg
 from repro.errors import ReproError
+from repro.net.base import Transport
 from repro.scenario.adversaries import Adversary
 from repro.scenario.builder import BuiltScenario
 from repro.scenario.population import ActorPool, ChurnStorm
@@ -70,8 +71,7 @@ class Phase:
 class EngineContext:
     """What adversaries and probes see of the running scenario."""
 
-    network: object
-    transport: object          # register/send/request surface
+    network: Transport
     brokers: dict
     admin: object
     policy: object
@@ -101,7 +101,7 @@ class ScenarioEngine:
         self.convergence_max_rounds = convergence_max_rounds
         self._probe_stats = {"attempts": 0, "ok": 0}
         self.ctx = EngineContext(
-            network=scenario.network, transport=scenario.network,
+            network=scenario.network,
             brokers=scenario.brokers, admin=scenario.admin,
             policy=getattr(scenario, "policy", None), rng=self.rng,
             clock=scenario.clock)

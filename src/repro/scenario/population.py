@@ -33,6 +33,7 @@ from repro.errors import NetworkError, ReproError
 from repro.jxta.advertisements import PeerAdvertisement
 from repro.jxta.ids import parse_id
 from repro.jxta.messages import Message
+from repro.net.base import Transport
 
 __all__ = [
     "ArrivalProcess",
@@ -218,12 +219,11 @@ class ActorPool:
     The pool registers one shared sink handler per actor address (so
     broker pushes — ``peer_joined``, ``info_push`` — are deliverable),
     owns the per-actor join bookkeeping, and exposes the joined set for
-    churn sampling.  Works against any backend with the
-    ``register``/``request`` surface (the simulator at population
-    scale; a transport for small wire-parity tests).
+    churn sampling.  Works against any transport (the simulator at
+    population scale; sockets for small wire-parity tests).
     """
 
-    def __init__(self, backend, brokers, admin, rng: HmacDrbg) -> None:
+    def __init__(self, backend: Transport, brokers, admin, rng: HmacDrbg) -> None:
         self.backend = backend
         self.brokers = list(brokers)
         self.admin = admin

@@ -120,7 +120,7 @@ class DuplicateDelivery(Fault):
     def apply(self, frame: Frame) -> Frame | None:
         if self.rng.uniform() < self.rate:
             self._injected()
-            self.injector.deliver_copy(frame)
+            self.injector.network.redeliver(frame)
         return frame
 
 
@@ -225,12 +225,6 @@ class FaultInjector:
             if out is None:
                 return None
         return out
-
-    def deliver_copy(self, frame: Frame) -> None:
-        """Hand a duplicate straight to the destination handler."""
-        handler = self.network._handlers.get(frame.dst)
-        if handler is not None:
-            handler(frame)
 
     def uninstall(self) -> None:
         self.network.remove_interceptor(self)

@@ -1,4 +1,4 @@
-"""The simulated network: addressed endpoints, taps, and interceptors.
+"""The simulator: a :class:`~repro.net.base.Transport` over virtual time.
 
 Entities register a handler under an address.  Two delivery styles exist:
 
@@ -13,41 +13,50 @@ so anything an eavesdropper tap observes is exactly what a real wire
 would carry, and an interceptor can only mount the attacks a real
 man-in-the-middle could (replay, modify, redirect, drop).
 
-Security-evaluation hooks:
+Security-evaluation hooks (:mod:`repro.net.adversary`):
 
 * **taps** observe every frame (passive eavesdropper, §2.3 threat 1);
 * **interceptors** may rewrite/redirect/drop frames (fake broker via DNS
   spoofing, §2.3 threat 3, and message tampering, threat 2).
+
+Transport lifecycle: on a simulated star network there is no socket to
+accept, so ``on_connect`` fires on the first frame a peer delivers to
+an address, and ``on_close`` fires for every such peer when the
+address unregisters — exactly when a socket backend would drop the
+connections of a disappearing endpoint.
+
+Link scheduling: :meth:`SimNetwork.configure_links` gives one
+registered address a :class:`~repro.net.linkq.LinkScheduler`.  Its
+datagrams sent *inside* a handler of an in-flight operation, or under
+:meth:`SimNetwork.corked`, coalesce into one simulated delivery per
+BATCH wire unit — taps, interceptors and the link model see the batch
+as a single frame, exactly as a socket would carry it — and each
+scheduled address's queues are drained once as the outermost
+send/request returns.  Top-level sends outside a cork
+flush immediately as legacy single-frame units, so an unbatched
+caller cannot tell the scheduler is there.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from typing import Callable
 
 from repro import obs
 from repro.errors import NetworkError
-from repro.net import adversary
-from repro.net.base import Frame
+from repro.net import adversary, framing, linkq
+from repro.net.adversary import Interceptor, Tap
+from repro.net.base import Frame, FrameHandler, PeerHook
 from repro.sim.clock import VirtualClock
 from repro.sim.latency import LAN_2009, LinkModel
 
-__all__ = ["Frame", "Handler", "Interceptor", "NetworkStats", "SimNetwork", "Tap"]
+__all__ = ["Frame", "NetworkStats", "SIM_BATCH_MAGIC", "SimNetwork"]
 
-
-class Tap(Protocol):
-    """Passive observer of all frames (an eavesdropper)."""
-
-    def observe(self, frame: Frame) -> None: ...
-
-
-#: An interceptor sees a frame and returns a (possibly different) frame to
-#: deliver, or ``None`` to drop it.  The returned frame's ``dst`` may be
-#: rewritten, which models DNS-spoofing style redirection.
-Interceptor = Callable[[Frame], Frame | None]
-
-#: Handler signature: receives the frame, returns optional response bytes.
-Handler = Callable[[Frame], bytes | None]
+#: Prefix marking a simulated BATCH wire unit.  Serialized overlay
+#: messages are JSON or sealed-envelope bytes and never start with a
+#: NUL byte, so the tag cannot collide with a real payload.
+SIM_BATCH_MAGIC = b"\x00repro:batch\x01"
 
 
 #: Per-frame instruments, resolved once instead of per record() call.
@@ -89,6 +98,18 @@ class NetworkStats:
                          n_bytes=frame.size)
 
 
+@dataclass
+class _EndpointState:
+    """Everything the network tracks for one registered address."""
+
+    handler: FrameHandler
+    on_connect: PeerHook | None
+    on_close: PeerHook | None
+    #: peers that delivered here (connected; closed at unregister)
+    seen: set[str] = field(default_factory=set)
+    scheduler: linkq.LinkScheduler | None = None
+
+
 class SimNetwork:
     """A star network: every pair of endpoints shares one link model."""
 
@@ -99,7 +120,9 @@ class SimNetwork:
         self.clock = clock if clock is not None else VirtualClock()
         self.default_link = link
         self._links: dict[tuple[str, str], LinkModel] = {}
-        self._handlers: dict[str, Handler] = {}
+        self._endpoints: dict[str, _EndpointState] = {}
+        #: addresses with a link scheduler, in first-configure order
+        self._scheduled: dict[str, _EndpointState] = {}
         self._taps: list[Tap] = []
         self._interceptors: list[Interceptor] = []
         self._jitter_draw = jitter_draw
@@ -108,23 +131,34 @@ class SimNetwork:
         #: nesting depth of in-flight send/request calls (drain boundary)
         self._op_depth = 0
         self._draining = False
-        self._flush_hooks: list[Callable[[], None]] = []
 
     # -- topology -----------------------------------------------------------
 
-    def register(self, address: str, handler: Handler) -> None:
+    def register(self, address: str, handler: FrameHandler, *,
+                 on_connect: PeerHook | None = None,
+                 on_close: PeerHook | None = None) -> None:
         """Attach an endpoint; raises if the address is taken."""
-        if address in self._handlers:
+        if address in self._endpoints:
             raise NetworkError(f"address {address!r} is already registered")
-        self._handlers[address] = handler
-        obs.get_registry().set_gauge("net.endpoints", len(self._handlers))
+        self._endpoints[address] = _EndpointState(handler, on_connect, on_close)
+        obs.get_registry().set_gauge("net.endpoints", len(self._endpoints))
 
     def unregister(self, address: str) -> None:
-        self._handlers.pop(address, None)
-        obs.get_registry().set_gauge("net.endpoints", len(self._handlers))
+        """Detach an endpoint: flush its queues, then close its peers."""
+        state = self._endpoints.get(address)
+        if state is None:
+            return
+        if state.scheduler is not None:
+            state.scheduler.flush_for(address)
+        del self._endpoints[address]
+        self._scheduled.pop(address, None)
+        obs.get_registry().set_gauge("net.endpoints", len(self._endpoints))
+        if state.on_close is not None:
+            for peer in sorted(state.seen):
+                state.on_close(peer)
 
     def is_registered(self, address: str) -> bool:
-        return address in self._handlers
+        return address in self._endpoints
 
     def set_link(self, src: str, dst: str, link: LinkModel,
                  symmetric: bool = True) -> None:
@@ -150,41 +184,60 @@ class SimNetwork:
     def remove_interceptor(self, interceptor: Interceptor) -> None:
         self._interceptors.remove(interceptor)
 
-    # -- link-scheduler drain boundary ----------------------------------------
+    # -- link scheduling ------------------------------------------------------
 
-    @property
-    def op_depth(self) -> int:
-        """How many send/request calls are on the stack right now.
+    def configure_links(self, address: str,
+                        policy: linkq.LinkPolicy | None = None, *,
+                        breaker_factory=None) -> linkq.LinkScheduler:
+        """Install (or replace) the link scheduler for ``address``'s sends."""
+        state = self._endpoints.get(address)
+        if state is None:
+            raise NetworkError(f"no endpoint registered at {address!r}")
+        state.scheduler = linkq.LinkScheduler(
+            policy if policy is not None else linkq.LinkPolicy(),
+            clock_now=lambda: self.clock.now,
+            send_single=self._ship_unit,
+            send_batch=lambda src, dst, payload: self._ship_unit(
+                src, dst, SIM_BATCH_MAGIC + payload),
+            breaker_factory=breaker_factory)
+        self._scheduled[address] = state
+        return state.scheduler
 
-        Depth > 0 means delivery is happening *inside* a handler of an
-        outer operation — the window in which a link scheduler may
-        coalesce frames without changing observable ordering, because
-        the drain below runs before the outermost call returns.
+    def corked(self, address: str):
+        """Batch ``address``'s sends inside the context into shared units."""
+        state = self._endpoints.get(address)
+        if state is None or state.scheduler is None:
+            return nullcontext()
+        return state.scheduler.corked()
+
+    def set_link_compression(self, src: str, dst: str, level: int) -> None:
+        state = self._endpoints.get(src)
+        if state is None or state.scheduler is None:
+            raise NetworkError("configure_links() before negotiating compression")
+        state.scheduler.set_link_compression(src, dst, level)
+
+    def _ship_unit(self, src: str, dst: str, payload: bytes) -> bool:
+        try:
+            return self._transmit(src, dst, payload)
+        except NetworkError:
+            # The destination vanished after the frame was queued: a
+            # best-effort datagram loss, not a caller error.
+            return False
+
+    def _drain(self) -> None:
+        """Ship every uncorked queue, one pass in configure order.
+
+        Runs as the outermost send/request ends, so frames a handler
+        queued reach the wire before simulation code regains control.
         """
-        return self._op_depth
-
-    def add_flush_hook(self, hook: Callable[[], None]) -> None:
-        """Run ``hook`` whenever the outermost network op completes.
-
-        Link schedulers register their drain here: every queued frame
-        is shipped before test or application code regains control, so
-        batching never changes when a frame is observable — only how
-        many wire units carried it.
-        """
-        if hook not in self._flush_hooks:
-            self._flush_hooks.append(hook)
-
-    def remove_flush_hook(self, hook: Callable[[], None]) -> None:
-        if hook in self._flush_hooks:
-            self._flush_hooks.remove(hook)
-
-    def _drain_flushes(self) -> None:
-        if self._draining or not self._flush_hooks:
+        if self._draining or not self._scheduled:
             return
         self._draining = True
         try:
-            for hook in list(self._flush_hooks):
-                hook()
+            for state in list(self._scheduled.values()):
+                scheduler = state.scheduler
+                if not scheduler.corked_now:
+                    scheduler.flush_all()
         finally:
             self._draining = False
 
@@ -201,6 +254,33 @@ class SimNetwork:
         self.clock.advance_network(link.transit_time(frame.size, self._jitter_draw))
         return True
 
+    def _dispatch(self, state: _EndpointState, frame: Frame) -> bytes | None:
+        """Hand a delivered frame to its endpoint, unwrapping BATCH units."""
+        payloads = None
+        if frame.payload.startswith(SIM_BATCH_MAGIC):
+            payloads = framing.decode_batch_payload(
+                frame.payload[len(SIM_BATCH_MAGIC):])
+        if frame.src not in state.seen:
+            state.seen.add(frame.src)
+            if state.on_connect is not None:
+                state.on_connect(frame.src)
+        if payloads is None:
+            return state.handler(frame)
+        for payload in payloads:
+            state.handler(Frame(src=frame.src, dst=frame.dst,
+                                payload=payload, sent_at=frame.sent_at))
+        return None
+
+    def redeliver(self, frame: Frame) -> None:
+        """Hand ``frame`` to its destination again, outside the wire.
+
+        No adversary chain, transit or stats: the wire delivered the
+        same bytes twice, it did not re-send them (duplicate faults).
+        """
+        state = self._endpoints.get(frame.dst)
+        if state is not None:
+            self._dispatch(state, frame)
+
     def send(self, src: str, dst: str, payload: bytes) -> bool:
         """One-way delivery.  Returns ``True`` if the frame was delivered.
 
@@ -208,25 +288,38 @@ class SimNetwork:
         destination; adversarial drops and link loss return ``False`` —
         datagrams are best-effort, exactly like JXTA pipe messages.
         """
-        if dst not in self._handlers:
+        state = self._endpoints.get(src)
+        if state is None or state.scheduler is None:
+            return self._transmit(src, dst, payload)
+        if dst not in self._endpoints:
+            raise NetworkError(f"no endpoint registered at {dst!r}")
+        # Coalesce only where delivery order stays observable: inside a
+        # handler of an in-flight operation (drained before the
+        # outermost call returns) or under an explicit cork.
+        return state.scheduler.enqueue(src, dst, payload,
+                                       coalesce=self._op_depth > 0)
+
+    def _transmit(self, src: str, dst: str, payload: bytes) -> bool:
+        """Put one wire unit on the simulated wire (see :meth:`send`)."""
+        if dst not in self._endpoints:
             raise NetworkError(f"no endpoint registered at {dst!r}")
         self._op_depth += 1
         try:
             frame = Frame(src=src, dst=dst, payload=bytes(payload), sent_at=self.clock.now)
             out = self._through_adversaries(frame)
-            if out is None or out.dst not in self._handlers:
+            if out is None or out.dst not in self._endpoints:
                 self.stats.record(frame, delivered=False)
                 return False
             if not self._transit(out):
                 self.stats.record(out, delivered=False)
                 return False
             self.stats.record(out, delivered=True)
-            self._handlers[out.dst](out)
+            self._dispatch(self._endpoints[out.dst], out)
             return True
         finally:
             self._op_depth -= 1
             if self._op_depth == 0:
-                self._drain_flushes()
+                self._drain()
 
     def request(self, src: str, dst: str, payload: bytes) -> bytes:
         """Round-trip exchange; returns the responder's bytes.
@@ -235,13 +328,18 @@ class SimNetwork:
         :meth:`VirtualClock.cpu_section`.  Raises :class:`NetworkError`
         when the request or the response is dropped or unanswered.
         """
-        if dst not in self._handlers:
+        state = self._endpoints.get(src)
+        if state is not None and state.scheduler is not None:
+            # Ordering barrier: datagrams queued to this link must hit
+            # the wire before the request does.
+            state.scheduler.flush_link(src, dst)
+        if dst not in self._endpoints:
             raise NetworkError(f"no endpoint registered at {dst!r}")
         self._op_depth += 1
         try:
             frame = Frame(src=src, dst=dst, payload=bytes(payload), sent_at=self.clock.now)
             out = self._through_adversaries(frame)
-            if out is None or out.dst not in self._handlers:
+            if out is None or out.dst not in self._endpoints:
                 self.stats.record(frame, delivered=False)
                 raise NetworkError(f"request from {src!r} to {dst!r} was dropped")
             if not self._transit(out):
@@ -249,7 +347,7 @@ class SimNetwork:
                 raise NetworkError(f"request from {src!r} to {dst!r} was lost in transit")
             self.stats.record(out, delivered=True)
             with self.clock.cpu_section():
-                response = self._handlers[out.dst](out)
+                response = self._dispatch(self._endpoints[out.dst], out)
             if response is None:
                 raise NetworkError(f"endpoint {out.dst!r} did not answer the request")
             back = Frame(src=out.dst, dst=src, payload=bytes(response), sent_at=self.clock.now)
@@ -265,4 +363,4 @@ class SimNetwork:
         finally:
             self._op_depth -= 1
             if self._op_depth == 0:
-                self._drain_flushes()
+                self._drain()

@@ -1,11 +1,11 @@
 """The link-layer send scheduler: batching, overflow, breaker backpressure.
 
 Unit tests drive a :class:`~repro.net.linkq.LinkScheduler` directly
-through recording callbacks; the integration tests put a scheduler-backed
-:class:`~repro.net.sim.SimTransport` under an injected link outage
-(`repro.sim.faults`) and check the backpressure contract: bounded
-queues, defer/drop per policy, a breaker that opens — and a clean,
-deadlock-free drain on close.
+through recording callbacks; the integration tests give one
+:class:`~repro.sim.network.SimNetwork` address a scheduler under an
+injected link outage (`repro.sim.faults`) and check the backpressure
+contract: bounded queues, defer/drop per policy, a breaker that opens —
+and a clean, deadlock-free drain on close.
 """
 
 from __future__ import annotations
@@ -13,12 +13,14 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
+from repro.jxta.endpoint import Endpoint
+from repro.jxta.messages import Message
 from repro.net import framing
 from repro.net.linkq import LinkPolicy, LinkScheduler
-from repro.net.sim import SIM_BATCH_MAGIC, SimTransport
 from repro.overlay.policy import link_breaker_factory
 from repro.sim import SimNetwork, VirtualClock
 from repro.sim.faults import FaultPlan, LinkOutage
+from repro.sim.network import SIM_BATCH_MAGIC
 
 
 @pytest.fixture()
@@ -261,65 +263,96 @@ class TestOutageIntegration:
 
     def _world(self, policy: LinkPolicy, threshold: int = 3):
         net = SimNetwork(clock=VirtualClock())
-        rx = SimTransport(net)
         got: list[bytes] = []
-        rx.register("rx", lambda frame: got.append(frame.payload) or None)
-        tx = SimTransport(net)
-        tx.configure_links(policy, breaker_factory=link_breaker_factory(
-            net.clock, failure_threshold=threshold, reset_timeout_s=10.0))
-        return net, tx, got
+        net.register("rx", lambda frame: got.append(frame.payload) or None)
+        net.register("tx", lambda frame: None)
+        sched = net.configure_links(
+            "tx", policy, breaker_factory=link_breaker_factory(
+                net.clock, failure_threshold=threshold, reset_timeout_s=10.0))
+        return net, sched, got
 
     def test_outage_trips_breaker_and_bounds_the_queue(self, fresh_obs):
         policy = LinkPolicy(max_queue_frames=8, overflow="drop")
-        net, tx, got = self._world(policy)
+        net, sched, got = self._world(policy)
         FaultPlan(LinkOutage("tx", "rx", start=0.0, heal_at=60.0)).install(net)
         shed = 0
-        with tx.scheduler.corked():
+        with sched.corked():
             for i in range(64):
-                if tx.send("tx", "rx", b"blackhole-%d" % i) is False:
+                if net.send("tx", "rx", b"blackhole-%d" % i) is False:
                     shed += 1
-                assert tx.scheduler.pending_frames() <= policy.max_queue_frames
+                assert sched.pending_frames() <= policy.max_queue_frames
         assert got == []                             # outage ate everything
         assert shed > 0                              # bounded, not buffered
         assert fresh_obs.count("net.queue.drop") > 0
         assert fresh_obs.count("faults.link_outage.injected") > 0
         # breaker is open: a fresh send fails fast without queue growth
-        assert tx.send("tx", "rx", b"fail-fast") is False
-        assert tx.scheduler.pending_frames() == 0
+        assert net.send("tx", "rx", b"fail-fast") is False
+        assert sched.pending_frames() == 0
 
     def test_defer_policy_keeps_paying_flushes_during_outage(self, fresh_obs):
         policy = LinkPolicy(max_queue_frames=4, overflow="defer")
-        net, tx, _got = self._world(policy, threshold=100)
+        net, sched, _got = self._world(policy, threshold=100)
         FaultPlan(LinkOutage("tx", "rx", start=0.0, heal_at=60.0)).install(net)
-        with tx.scheduler.corked():
+        with sched.corked():
             for i in range(32):
-                tx.send("tx", "rx", b"deferred-%d" % i)
-                assert tx.scheduler.pending_frames() <= policy.max_queue_frames
+                net.send("tx", "rx", b"deferred-%d" % i)
+                assert sched.pending_frames() <= policy.max_queue_frames
         assert fresh_obs.count("net.queue.defer") > 0
 
     def test_recovery_after_heal_and_cooldown(self):
         policy = LinkPolicy(max_queue_frames=8, overflow="drop")
-        net, tx, got = self._world(policy)
+        net, _sched, got = self._world(policy)
         FaultPlan(LinkOutage("tx", "rx", start=0.0, heal_at=1.0)).install(net)
         for i in range(8):
-            tx.send("tx", "rx", b"lost-%d" % i)
+            net.send("tx", "rx", b"lost-%d" % i)
         assert got == []
         net.clock.advance(30.0)                      # heal + breaker cooldown
-        assert tx.send("tx", "rx", b"revived") is True
+        assert net.send("tx", "rx", b"revived") is True
         assert got == [b"revived"]
 
     def test_unregister_drains_without_deadlock(self):
         policy = LinkPolicy(max_queue_frames=8, overflow="drop")
-        net, tx, got = self._world(policy, threshold=100)
+        net, sched, got = self._world(policy, threshold=100)
         FaultPlan(LinkOutage("tx", "rx", start=0.0, heal_at=60.0)).install(net)
-        with tx.scheduler.corked():
+        with sched.corked():
             for i in range(4):
-                tx.send("tx", "rx", b"stranded-%d" % i)
+                net.send("tx", "rx", b"stranded-%d" % i)
             # an endpoint disappearing mid-cork must flush-and-go, even
             # though every delivery fails against the outage
-            tx.unregister("tx")
-        assert tx.scheduler.pending_frames("tx") == 0
+            net.unregister("tx")
+        assert sched.pending_frames("tx") == 0
         assert got == []
+
+
+class TestClosedEndpointScheduler:
+    def test_reregistered_address_starts_unscheduled(self):
+        """A closed endpoint takes its scheduler with it: the address
+        comes back legacy, and no old scheduler is ever drained again."""
+        net = SimNetwork(clock=VirtualClock())
+        frames: list[bytes] = []
+        net.add_interceptor(lambda frame: frames.append(frame.payload) or frame)
+        got: list[str] = []
+        rx = Endpoint(net, "rx")
+        rx.configure(default=lambda message, src: got.append(
+            message.get_text("n")))
+        drained: list[LinkScheduler] = []
+        for _ in range(5):
+            endpoint = Endpoint(net, "a")
+            old = endpoint.configure_links()
+            endpoint.close()
+            old.flush_all = lambda old=old: drained.append(old)
+        endpoint = Endpoint(net, "a")
+        with obs.scope() as state:
+            with endpoint.corked():
+                for i in range(4):
+                    message = Message("burst")
+                    message.add_text("n", str(i))
+                    endpoint.send("rx", message)
+        assert got == ["0", "1", "2", "3"]
+        assert len(frames) == 4
+        assert not any(f.startswith(SIM_BATCH_MAGIC) for f in frames)
+        assert state.registry.count("net.queue.enqueued") == 0
+        assert drained == []
 
 
 class TestLegacyByteIdentity:
@@ -329,14 +362,13 @@ class TestLegacyByteIdentity:
         net = SimNetwork(clock=VirtualClock())
         seen: list[bytes] = []
         net.add_interceptor(lambda frame: seen.append(frame.payload) or frame)
-        rx = SimTransport(net)
-        rx.register("rx", lambda frame: None)
-        tx = SimTransport(net)
+        net.register("rx", lambda frame: None)
+        net.register("tx", lambda frame: None)
         if use_scheduler:
-            tx.configure_links(LinkPolicy())
-        with tx.corked():
+            net.configure_links("tx", LinkPolicy())
+        with net.corked("tx"):
             for i in range(8):
-                tx.send("tx", "rx", b"legacy-%d" % i)
+                net.send("tx", "rx", b"legacy-%d" % i)
         return seen
 
     def test_unscheduled_wire_ships_legacy_frames(self):

@@ -1,9 +1,10 @@
-"""TcpTransport: real 127.0.0.1 sockets behind the Transport contract.
+"""The Transport contract, on real 127.0.0.1 sockets and the simulator.
 
-Every test runs against OS-assigned loopback ports; nothing here is
-simulated.  The suite pins down the semantics the overlay's retry and
-failover machinery was written against (see ``repro.net.base``), plus
-the drain-on-unregister guarantees ``Endpoint.close()`` relies on.
+TCP tests run against OS-assigned loopback ports.  The suite pins down
+the semantics the overlay's retry and failover machinery was written
+against (see ``repro.net.base``), plus the drain-on-unregister
+guarantees ``Endpoint.close()`` relies on.  The contract classes run
+once per backend: ``TcpTransport`` and ``SimNetwork``.
 """
 
 from __future__ import annotations
@@ -14,9 +15,13 @@ import time
 
 import pytest
 
+from repro import obs
 from repro.errors import NetworkError
-from repro.net.base import Frame, Transport, as_transport
+from repro.jxta.endpoint import Endpoint
+from repro.jxta.messages import Message
+from repro.net.base import Frame, Transport
 from repro.net.tcp import TcpTransport
+from repro.sim import SimNetwork
 
 
 def wait_for(predicate, timeout: float = 5.0) -> bool:
@@ -35,10 +40,19 @@ def tcp():
     transport.close()
 
 
+@pytest.fixture(params=["sim", "tcp"])
+def transport(request):
+    """Each backend in turn, behind the same contract."""
+    if request.param == "sim":
+        yield SimNetwork()
+        return
+    with TcpTransport(request_timeout=10.0, connect_timeout=5.0) as tcp:
+        yield tcp
+
+
 class TestContract:
-    def test_satisfies_the_transport_protocol(self, tcp):
-        assert isinstance(tcp, Transport)
-        assert as_transport(tcp) is tcp
+    def test_satisfies_the_transport_protocol(self, transport):
+        assert isinstance(transport, Transport)
 
     def test_register_assigns_a_real_port(self, tcp):
         tcp.register("broker:0", lambda frame: None)
@@ -46,18 +60,18 @@ class TestContract:
         assert host == "127.0.0.1" and port > 0
         assert tcp.is_registered("broker:0")
 
-    def test_duplicate_register_raises(self, tcp):
-        tcp.register("broker:0", lambda frame: None)
+    def test_duplicate_register_raises(self, transport):
+        transport.register("broker:0", lambda frame: None)
         with pytest.raises(NetworkError, match="already registered"):
-            tcp.register("broker:0", lambda frame: None)
+            transport.register("broker:0", lambda frame: None)
 
-    def test_send_to_unknown_destination_raises(self, tcp):
+    def test_send_to_unknown_destination_raises(self, transport):
         with pytest.raises(NetworkError, match="no endpoint registered"):
-            tcp.send("peer:a", "peer:ghost", b"x")
+            transport.send("peer:a", "peer:ghost", b"x")
 
-    def test_request_to_unknown_destination_raises(self, tcp):
+    def test_request_to_unknown_destination_raises(self, transport):
         with pytest.raises(NetworkError, match="no endpoint registered"):
-            tcp.request("peer:a", "peer:ghost", b"x")
+            transport.request("peer:a", "peer:ghost", b"x")
 
     def test_location_of_unknown_address_raises(self, tcp):
         with pytest.raises(NetworkError):
@@ -94,10 +108,10 @@ class TestRequests:
         tcp.register("svc", lambda frame: frame.payload.upper())
         assert tcp.request("peer:a", "svc", b"hello") == b"HELLO"
 
-    def test_handler_answering_none_raises_like_the_sim(self, tcp):
-        tcp.register("svc", lambda frame: None)
+    def test_handler_answering_none_raises_like_the_sim(self, transport):
+        transport.register("svc", lambda frame: None)
         with pytest.raises(NetworkError, match="did not answer"):
-            tcp.request("peer:a", "svc", b"q")
+            transport.request("peer:a", "svc", b"q")
 
     def test_handler_exception_surfaces_as_network_error(self, tcp):
         def boom(frame):
@@ -170,17 +184,53 @@ class TestRequests:
 
 
 class TestLifecycleHooks:
-    def test_connect_and_close_fire_once_per_peer(self, tcp):
+    def test_connect_and_close_fire_once_per_peer(self, transport):
         connected: list[str] = []
         closed: list[str] = []
-        tcp.register("svc", lambda frame: frame.payload,
-                     on_connect=connected.append, on_close=closed.append)
-        tcp.request("peer:a", "svc", b"one")
-        tcp.request("peer:a", "svc", b"two")
+        transport.register("svc", lambda frame: frame.payload,
+                           on_connect=connected.append, on_close=closed.append)
+        transport.request("peer:a", "svc", b"one")
+        transport.request("peer:a", "svc", b"two")
         assert wait_for(lambda: connected == ["peer:a"])
         assert closed == []
-        tcp.unregister("svc")
+        transport.unregister("svc")
         assert wait_for(lambda: closed == ["peer:a"])
+
+
+class TestLinkScheduling:
+    BURST = 6
+
+    def test_a_scheduler_belongs_to_the_address_that_configured_it(
+            self, transport):
+        """Two endpoints share one transport; only ``a`` batches."""
+        got: list[tuple[str, str]] = []
+        rx = Endpoint(transport, "rx")
+        rx.configure(default=lambda message, src: got.append(
+            (src, message.get_text("n"))))
+        a = Endpoint(transport, "a")
+        b = Endpoint(transport, "b")
+        a.configure_links()
+
+        def burst(endpoint):
+            with obs.scope() as state:
+                with endpoint.corked():
+                    for i in range(self.BURST):
+                        message = Message("burst")
+                        message.add_text("n", str(i))
+                        assert endpoint.send("rx", message) is True
+                expected = [(endpoint.address, str(i))
+                            for i in range(self.BURST)]
+                assert wait_for(lambda: got[-self.BURST:] == expected)
+            return state.registry
+
+        # b never configured links: legacy single frames, no queueing
+        legacy = burst(b)
+        assert legacy.count("net.queue.enqueued") == 0
+        assert legacy.count("net.batch.units") == 0
+        # a's corked burst coalesces into one BATCH wire unit
+        batched = burst(a)
+        assert batched.count("net.queue.enqueued") == self.BURST
+        assert batched.count("net.batch.units") == 1
 
 
 class TestDrainOnUnregister:
@@ -290,9 +340,6 @@ class TestEndpointOverTcp:
     """The overlay's Endpoint riding the socket backend directly."""
 
     def test_message_round_trip_and_clean_close(self, tcp):
-        from repro.jxta.endpoint import Endpoint
-        from repro.jxta.messages import Message
-
         server = Endpoint(tcp, "svc")
 
         def echo(message, src):
