@@ -21,9 +21,9 @@ class HmacDrbg:
     Reseeding and additional-input paths are implemented; prediction
     resistance is out of scope for a simulation substrate.
 
-    One instance may be shared by threads (the socket transport runs
-    handlers on a pool), so a per-instance lock serializes the public
-    state-changing calls, :meth:`reseed` and :meth:`generate`.
+    One instance may be shared by threads (on sockets, an application
+    thread and an endpoint's actor), so a per-instance lock serializes
+    the public state-changing calls, :meth:`reseed` and :meth:`generate`.
     """
 
     #: SP 800-90A limit on a single generate call (we are far more generous

@@ -32,10 +32,8 @@ class InputPipe:
     group: str
     endpoint: Endpoint
     listeners: list[PipeListener] = field(default_factory=list)
-    received: list[Message] = field(default_factory=list)
 
     def deliver(self, inner: Message, src: str) -> None:
-        self.received.append(inner)
         for listener in list(self.listeners):
             listener(inner, src)
 

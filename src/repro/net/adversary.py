@@ -42,21 +42,41 @@ class Interceptor(Protocol):
     def __call__(self, frame: Frame) -> Frame | None: ...
 
 
-@runtime_checkable
-class AdversarySurface(Protocol):
-    """Where taps and interceptors are installed.
+class AdversarySurface:
+    """Where taps and interceptors are installed, and the chain that
+    runs them: every tap observes the (current) frame, then each
+    interceptor may substitute or drop it.
 
     :class:`~repro.sim.network.SimNetwork` and
-    :class:`~repro.net.tcp.TcpTransport` both satisfy this.
+    :class:`~repro.net.tcp.TcpTransport` both inherit it, so the TCP
+    backend cannot drift from the simulator.
     """
 
-    def add_tap(self, tap: Tap) -> None: ...
+    def __init__(self) -> None:
+        self._taps: list[Tap] = []
+        self._interceptors: list[Interceptor] = []
 
-    def remove_tap(self, tap: Tap) -> None: ...
+    def add_tap(self, tap: Tap) -> None:
+        self._taps.append(tap)
 
-    def add_interceptor(self, interceptor: Interceptor) -> None: ...
+    def remove_tap(self, tap: Tap) -> None:
+        self._taps.remove(tap)
 
-    def remove_interceptor(self, interceptor: Interceptor) -> None: ...
+    def add_interceptor(self, interceptor: Interceptor) -> None:
+        self._interceptors.append(interceptor)
+
+    def remove_interceptor(self, interceptor: Interceptor) -> None:
+        self._interceptors.remove(interceptor)
+
+    def _through_adversaries(self, frame: Frame) -> Frame | None:
+        for tap in self._taps:
+            tap.observe(frame)
+        out: Frame | None = frame
+        for interceptor in self._interceptors:
+            out = interceptor(out)
+            if out is None:
+                return None
+        return out
 
 
 def adversary_surface(backend) -> AdversarySurface:
@@ -66,21 +86,3 @@ def adversary_surface(backend) -> AdversarySurface:
     raise TypeError(
         f"{type(backend).__name__} exposes no adversary surface "
         "(add_tap/add_interceptor)")
-
-
-def run_chain(taps, interceptors, frame: Frame) -> Frame | None:
-    """Apply taps then interceptors to one frame — the shared semantics.
-
-    Exactly :meth:`SimNetwork._through_adversaries`: every tap observes
-    the (current) frame, then each interceptor may substitute or drop
-    it.  Factored here so the TCP backend cannot drift from the
-    simulator.
-    """
-    for tap in taps:
-        tap.observe(frame)
-    out: Frame | None = frame
-    for interceptor in interceptors:
-        out = interceptor(out)
-        if out is None:
-            return None
-    return out

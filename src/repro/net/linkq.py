@@ -41,12 +41,12 @@ likewise applies only on links that negotiated a nonzero level.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Callable
 
 from repro import obs
-from repro.errors import CircuitOpenError
+from repro.errors import CircuitOpenError, NetworkError
 from repro.net import framing
 
 @dataclass(frozen=True)
@@ -128,9 +128,10 @@ class _LinkQueue:
 class LinkScheduler:
     """Per-link send queues with adaptive flush for one endpoint address.
 
-    Thread-safe: the TCP backend enqueues from worker threads and
-    pumps from timer callbacks; the simulator is single-threaded and
-    pays one uncontended RLock acquire per send.
+    Thread-safe: on the TCP backend application threads and the
+    endpoint's actor enqueue, and its flush timers pump on the actor;
+    the simulator is single-threaded and pays one uncontended RLock
+    acquire per send.
     """
 
     def __init__(self, policy: LinkPolicy, *,
@@ -329,14 +330,16 @@ class LinkScheduler:
                 elif self._defer is not None:
                     self._defer(deadline - now, self.pump)
 
-    def flush_all(self) -> None:
-        """Ship every queued frame now (cork exit, transport drain)."""
+    def flush_all(self) -> bool:
+        """Ship every queued frame now (cork exit, transport drain);
+        ``True`` if there was any."""
         with self._lock:
             if self._flushing:
-                return
-            for (src, dst), queue in list(self._queues.items()):
-                if queue.frames:
-                    self._flush_queue(src, dst, queue)
+                return False
+            busy = [(key, q) for key, q in self._queues.items() if q.frames]
+            for (src, dst), queue in busy:
+                self._flush_queue(src, dst, queue)
+            return bool(busy)
 
     def flush_link(self, src: str, dst: str) -> None:
         """Ship one link's queue (ordering barrier before a request)."""
@@ -359,3 +362,24 @@ class LinkScheduler:
         with self._lock:
             return sum(len(q.frames) for (qsrc, _), q in self._queues.items()
                        if src is None or qsrc == src)
+
+
+class LinkSurface:
+    """The per-address scheduler calls of the transport contract, shared
+    by both backends; ``_endpoints`` maps each registered address to a
+    record whose ``scheduler`` is its :class:`LinkScheduler` or None."""
+
+    def _scheduler(self, address: str) -> LinkScheduler | None:
+        state = self._endpoints.get(address)
+        return state.scheduler if state is not None else None
+
+    def corked(self, address: str):
+        """Batch ``address``'s sends inside the context into shared units."""
+        scheduler = self._scheduler(address)
+        return nullcontext() if scheduler is None else scheduler.corked()
+
+    def set_link_compression(self, src: str, dst: str, level: int) -> None:
+        scheduler = self._scheduler(src)
+        if scheduler is None:
+            raise NetworkError("configure_links() before negotiating compression")
+        scheduler.set_link_compression(src, dst, level)

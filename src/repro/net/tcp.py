@@ -7,19 +7,21 @@ address directory so logical overlay addresses ("broker:0",
 "peer:alice") resolve to ``host:port`` pairs; :meth:`add_route` seeds
 the directory for endpoints living in other processes.
 
-Threading model — the part that makes synchronous overlay code work
-over real sockets:
+Threading model — one owner per endpoint, as in the simulator:
 
 * the **event loop thread** only moves bytes (accept, read, write);
-* every **handler dispatch** runs on a worker-thread pool, so a broker
-  function may itself issue blocking :meth:`request` calls mid-handler
-  (the federation link handshake does exactly this: the responder
-  digest-syncs *back at the initiator* while the initiator is still
-  blocked in ``fed_link_req``) without stalling the loop;
-* ``REQUEST`` frames dispatch as independent tasks — concurrent
-  requests on one connection are multiplexed by ``request_id`` — while
-  ``DATA`` frames dispatch sequentially per connection, preserving the
-  per-link datagram ordering the simulator provides.
+* each registered address is an **actor**: one thread drains its FIFO
+  mailbox, running the endpoint's frame handlers, ``on_connect`` /
+  ``on_close`` hooks and link-scheduler flush timers one at a time, in
+  arrival order;
+* :meth:`request` on an actor's own thread keeps running that actor's
+  jobs until the response arrives (the simulator's nested dispatch),
+  so the federation link handshake, whose responder digest-syncs back
+  at the still-blocked initiator, cannot deadlock.  Handlers of one
+  endpoint therefore interleave only at :meth:`request` calls;
+* a ``REQUEST`` frame never blocks its connection's reader (responses
+  multiplex by ``request_id``); the reader waits for each ``DATA`` job,
+  keeping per-link datagram order and TCP backpressure.
 
 Delivery semantics match the simulator contract: :meth:`send` raises
 :class:`~repro.errors.NetworkError` for an address the directory does
@@ -33,19 +35,67 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import itertools
+import queue
 import struct
 import threading
-from contextlib import nullcontext
+import time
 from dataclasses import dataclass, field
 
 from repro import obs
 from repro.errors import NetworkError
 from repro.net import framing, linkq
+from repro.net.adversary import AdversarySurface
 from repro.net.base import Frame, FrameHandler, PeerHook
 from repro.net.clock import WallClock
 
-#: how long ``close()`` waits for the loop thread to wind down
+#: how long ``close()`` waits for the loop thread or an actor to wind down
 _SHUTDOWN_GRACE = 5.0
+
+#: the actor whose thread is the calling thread, if any
+_CURRENT = threading.local()
+
+
+class _Actor:
+    """One endpoint's owner: a FIFO mailbox drained by one thread.
+
+    Jobs must not raise; the posting side wraps each one.  ``None`` in
+    the mailbox stops the actor once the jobs queued before it ran.
+    """
+
+    def __init__(self, address: str) -> None:
+        self.mailbox: queue.SimpleQueue = queue.SimpleQueue()
+        self.stopped = False
+        self.thread = threading.Thread(target=self._main, daemon=True,
+                                       name=f"repro-actor:{address}")
+        self.thread.start()
+
+    def _main(self) -> None:
+        _CURRENT.actor = self
+        while not self.stopped:
+            self.run_next(None)
+
+    def run_next(self, timeout: float | None) -> None:
+        job = self.mailbox.get(timeout=timeout)
+        if job is None:
+            self.stopped = True
+        else:
+            job()
+
+
+def _reply(future: concurrent.futures.Future, timeout: float):
+    """``future.result(timeout)``.  On an actor's thread that actor keeps
+    running its jobs meanwhile — the simulator's nested dispatch — so a
+    request that calls back into its own endpoint cannot deadlock."""
+    actor = getattr(_CURRENT, "actor", None)
+    deadline = time.monotonic() + timeout
+    if actor is not None:
+        future.add_done_callback(lambda _: actor.mailbox.put(lambda: None))
+        while not future.done() and not actor.stopped:
+            try:
+                actor.run_next(max(0.0, deadline - time.monotonic()))
+            except queue.Empty:
+                break
+    return future.result(max(0.0, deadline - time.monotonic()))
 
 
 @dataclass
@@ -55,41 +105,39 @@ class _EndpointState:
     handler: FrameHandler
     on_connect: PeerHook | None
     on_close: PeerHook | None
+    actor: _Actor
     server: asyncio.AbstractServer | None = None
-    #: inbound connection writers (server side), for drain-on-unregister
-    inbound: set[asyncio.StreamWriter] = field(default_factory=set)
+    #: inbound connection reader tasks (server side), for drain-on-unregister
+    inbound: set[asyncio.Task] = field(default_factory=set)
     scheduler: linkq.LinkScheduler | None = None
 
 
+@dataclass(eq=False)
 class _Conn:
     """One pooled outbound connection (src endpoint -> dst address)."""
 
-    def __init__(self, src: str, dst: str, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter) -> None:
-        self.src = src
-        self.dst = dst
-        self.reader = reader
-        self.writer = writer
-        self.write_lock = asyncio.Lock()
-        self.pending: set[int] = set()  # request ids in flight on this conn
-        self.reader_task: asyncio.Task | None = None
+    src: str
+    dst: str
+    reader: asyncio.StreamReader
+    writer: asyncio.StreamWriter
+    write_lock: asyncio.Lock = field(default_factory=asyncio.Lock)
+    pending: set[int] = field(default_factory=set)  # request ids in flight
+    reader_task: asyncio.Task | None = None
 
 
-class TcpTransport:
+class TcpTransport(AdversarySurface, linkq.LinkSurface):
     """Length-prefix-framed overlay frames over 127.0.0.1 (or any host)."""
 
     def __init__(self, host: str = "127.0.0.1", *,
                  request_timeout: float = 30.0,
-                 connect_timeout: float = 5.0,
-                 max_workers: int = 32) -> None:
+                 connect_timeout: float = 5.0) -> None:
+        super().__init__()
         self.host = host
         self.clock = WallClock()
         self.request_timeout = request_timeout
         self.connect_timeout = connect_timeout
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
-        self._pool = concurrent.futures.ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="repro-net")
         self._lock = threading.Lock()
         self._directory: dict[str, tuple[str, int]] = {}
         self._endpoints: dict[str, _EndpointState] = {}
@@ -97,8 +145,6 @@ class TcpTransport:
         self._pending: dict[int, tuple[concurrent.futures.Future, str]] = {}
         self._req_ids = itertools.count(1)
         self._closed = False
-        self._taps: list = []
-        self._interceptors: list = []
 
     # -- loop plumbing -----------------------------------------------------
 
@@ -147,40 +193,19 @@ class TcpTransport:
             send_batch=lambda src, dst, payload: self._wire_send(
                 src, dst, framing.KIND_BATCH, payload),
             breaker_factory=breaker_factory,
-            defer=self._arm_flush_timer)
+            defer=lambda delay, callback: self._arm_flush_timer(
+                state, delay, callback))
         return state.scheduler
 
-    def _scheduler(self, address: str) -> linkq.LinkScheduler | None:
-        state = self._endpoints.get(address)
-        return state.scheduler if state is not None else None
-
-    def _arm_flush_timer(self, delay: float, callback) -> None:
-        """Run ``callback`` on the worker pool after ``delay`` seconds."""
-
-        def fire() -> None:
-            try:
-                self._pool.submit(callback)
-            except RuntimeError:
-                pass  # pool already shut down
-
+    def _arm_flush_timer(self, state: _EndpointState, delay: float,
+                         callback) -> None:
+        """Run ``callback`` on the endpoint's actor after ``delay`` seconds."""
         try:
             loop = self._ensure_loop()
         except NetworkError:
             return
-        loop.call_soon_threadsafe(loop.call_later, delay, fire)
-
-    def corked(self, address: str):
-        """Batch ``address``'s sends inside the context into shared units."""
-        scheduler = self._scheduler(address)
-        if scheduler is None:
-            return nullcontext()
-        return scheduler.corked()
-
-    def set_link_compression(self, src: str, dst: str, level: int) -> None:
-        scheduler = self._scheduler(src)
-        if scheduler is None:
-            raise NetworkError("configure_links() before negotiating compression")
-        scheduler.set_link_compression(src, dst, level)
+        loop.call_soon_threadsafe(loop.call_later, delay, self._post, state,
+                                  "net.tcp.handler_errors", callback)
 
     # -- registration ------------------------------------------------------
 
@@ -193,13 +218,14 @@ class TcpTransport:
             if address in self._endpoints:
                 raise NetworkError(f"address {address!r} is already registered")
             state = _EndpointState(handler=handler, on_connect=on_connect,
-                                   on_close=on_close)
+                                   on_close=on_close, actor=_Actor(address))
             self._endpoints[address] = state
         try:
             self._run(self._start_server(address, state), self.connect_timeout)
         except Exception:
             with self._lock:
                 self._endpoints.pop(address, None)
+            state.actor.mailbox.put(None)
             raise
         obs.get_registry().set_gauge("net.tcp.endpoints", len(self._endpoints))
 
@@ -234,29 +260,17 @@ class TcpTransport:
                                 writer: asyncio.StreamWriter) -> None:
         """Serve one inbound connection until it closes.
 
-        Cancellation (transport shutdown) ends the task quietly: the
+        Cancellation (unregister, shutdown) ends the task quietly: the
         stream server's done-callback reads ``task.exception()``, which
         for a cancelled task raises and makes asyncio log a
         ``CancelledError`` traceback.
         """
-        try:
-            await self._read_connection(address, state, reader, writer)
-        except asyncio.CancelledError:
-            pass
-
-    async def _read_connection(self, address: str, state: _EndpointState,
-                               reader: asyncio.StreamReader,
-                               writer: asyncio.StreamWriter) -> None:
-        state.inbound.add(writer)
-        write_lock = asyncio.Lock()
+        task = asyncio.current_task()
+        state.inbound.add(task)
         peer_src: str | None = None
-        request_tasks: set[asyncio.Task] = set()
         try:
             while True:
-                try:
-                    head = await reader.readexactly(framing.LENGTH_BYTES)
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    break
+                head = await reader.readexactly(framing.LENGTH_BYTES)
                 (length,) = struct.unpack(">I", head)
                 try:
                     framing.check_length(length)
@@ -265,90 +279,92 @@ class TcpTransport:
                 except framing.FramingError:
                     obs.get_registry().incr("net.tcp.bad_frames")
                     break  # unframeable stream: drop the connection
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    break
                 if peer_src is None:
                     peer_src = src
                     if state.on_connect is not None:
-                        await self._loop_safe_hook(state.on_connect, src)
+                        self._post(state, "net.tcp.hook_errors",
+                                   state.on_connect, src)
                 frame = Frame(src=src, dst=address, payload=payload,
                               sent_at=self.clock.now)
                 obs.get_registry().incr("net.tcp.frames_received")
                 if kind == framing.KIND_REQUEST:
-                    # Independent task: a handler may block on a nested
+                    # Not awaited: the handler may block on a nested
                     # request back at this very peer (federation link
-                    # handshake), so responses must multiplex by id.
-                    task = asyncio.ensure_future(self._dispatch_request(
-                        state, frame, req_id, writer, write_lock))
-                    request_tasks.add(task)
-                    task.add_done_callback(request_tasks.discard)
+                    # handshake), so responses multiplex by id.
+                    self._post(state, "net.tcp.handler_errors", state.handler,
+                               frame).add_done_callback(
+                        lambda done, req_id=req_id: self._respond(
+                            writer, req_id, address, done.result()))
                 elif kind == framing.KIND_DATA:
-                    # Sequential per connection: datagram order on one
-                    # link is preserved, exactly like the simulator.
-                    await self._dispatch_data(state, frame)
+                    # Awaited: per-link datagram order, like the
+                    # simulator, and TCP backpressure on the sender.
+                    await self._post(state, "net.tcp.handler_errors",
+                                     state.handler, frame)
                 elif kind == framing.KIND_BATCH:
-                    # One wire unit, several datagrams: split and
-                    # dispatch sequentially so per-link order holds.
+                    # One wire unit, several datagrams, in order.
                     try:
                         inner = framing.decode_batch_payload(payload)
                     except framing.FramingError:
                         obs.get_registry().incr("net.batch.decode_errors")
                         break
                     for data in inner:
-                        await self._dispatch_data(state, Frame(
-                            src=src, dst=address, payload=data,
-                            sent_at=self.clock.now))
+                        await self._post(
+                            state, "net.tcp.handler_errors", state.handler,
+                            Frame(src=src, dst=address, payload=data,
+                                  sent_at=self.clock.now))
                 else:
                     obs.get_registry().incr("net.tcp.unexpected_kind")
+        except (asyncio.IncompleteReadError, ConnectionError,
+                asyncio.CancelledError):
+            pass
         finally:
-            for task in list(request_tasks):
-                task.cancel()
-            state.inbound.discard(writer)
+            state.inbound.discard(task)
             writer.close()
             if peer_src is not None and state.on_close is not None:
-                await self._loop_safe_hook(state.on_close, peer_src)
+                self._post(state, "net.tcp.hook_errors", state.on_close,
+                           peer_src)
 
-    async def _loop_safe_hook(self, hook: PeerHook, peer: str) -> None:
-        """Run a lifecycle hook on the pool so it may touch the overlay."""
+    def _post(self, state: _EndpointState, errors: str, fn, *args
+              ) -> asyncio.Future:
+        """Queue ``fn(*args)`` on the endpoint's actor (loop thread only);
+        the loop future returned resolves to what ``fn`` returned, or to
+        the exception it raised, counted under ``errors``."""
         loop = asyncio.get_running_loop()
-        try:
-            await loop.run_in_executor(self._pool, hook, peer)
-        except Exception:
-            obs.get_registry().incr("net.tcp.hook_errors")
+        done = loop.create_future()
 
-    async def _dispatch_data(self, state: _EndpointState, frame: Frame) -> None:
-        loop = asyncio.get_running_loop()
-        try:
-            await loop.run_in_executor(self._pool, state.handler, frame)
-        except Exception:
-            obs.get_registry().incr("net.tcp.handler_errors")
+        def job() -> None:
+            try:
+                result = fn(*args)
+            except Exception as exc:
+                obs.get_registry().incr(errors)
+                result = exc
+            try:  # a cancelled reader no longer waits for ``done``
+                loop.call_soon_threadsafe(
+                    lambda: done.done() or done.set_result(result))
+            except RuntimeError:
+                pass  # loop already closed
 
-    async def _dispatch_request(self, state: _EndpointState, frame: Frame,
-                                req_id: int, writer: asyncio.StreamWriter,
-                                write_lock: asyncio.Lock) -> None:
-        loop = asyncio.get_running_loop()
-        try:
-            response = await loop.run_in_executor(
-                self._pool, state.handler, frame)
-        except Exception as exc:
-            obs.get_registry().incr("net.tcp.handler_errors")
-            response = None
-            reason = f"handler failed: {type(exc).__name__}"
+        state.actor.mailbox.put(job)
+        return done
+
+    def _respond(self, writer: asyncio.StreamWriter, req_id: int, address: str,
+                 response) -> None:
+        """Write a handler's answer back on its connection (loop thread)."""
+        kind = framing.KIND_ERROR
+        if isinstance(response, Exception):
+            payload = f"handler failed: {type(response).__name__}".encode()
+        elif response is None:
+            payload = f"endpoint {address!r} did not answer the request".encode()
         else:
-            reason = f"endpoint {frame.dst!r} did not answer the request"
+            kind, payload = framing.KIND_RESPONSE, bytes(response)
         try:
-            if response is None:
-                out = framing.encode_frame(
-                    framing.KIND_ERROR, req_id, frame.dst,
-                    reason.encode("utf-8"))
-            else:
-                out = framing.encode_frame(
-                    framing.KIND_RESPONSE, req_id, frame.dst, bytes(response))
-            async with write_lock:
-                writer.write(out)
-                await writer.drain()
-        except (ConnectionError, RuntimeError, framing.FramingError):
+            out = framing.encode_frame(kind, req_id, address, payload)
+        except framing.FramingError:
+            out = None
+        if out is None or writer.is_closing():
             obs.get_registry().incr("net.tcp.response_write_failures")
+        else:
+            writer.write(out)
 
     # -- client side -------------------------------------------------------
 
@@ -420,33 +436,6 @@ class TcpTransport:
         if kind == framing.KIND_REQUEST:
             conn.pending.add(req_id)
 
-    # -- adversary surface ---------------------------------------------------
-    # The tap/interceptor hooks of repro.net.adversary.  On sockets there
-    # is no mid-wire vantage point, so the chain runs on the outbound
-    # path of this transport object: every send() datagram, the request
-    # leg before the write and the response leg after it.  When the
-    # endpoints under attack share the transport (the in-process
-    # evaluation setup) that is every frame, matching the simulator.
-
-    def add_tap(self, tap) -> None:
-        self._taps.append(tap)
-
-    def remove_tap(self, tap) -> None:
-        self._taps.remove(tap)
-
-    def add_interceptor(self, interceptor) -> None:
-        self._interceptors.append(interceptor)
-
-    def remove_interceptor(self, interceptor) -> None:
-        self._interceptors.remove(interceptor)
-
-    def _through_adversaries(self, frame: Frame) -> Frame | None:
-        if not self._taps and not self._interceptors:
-            return frame
-        from repro.net.adversary import run_chain
-
-        return run_chain(self._taps, self._interceptors, frame)
-
     # -- transport contract ------------------------------------------------
 
     def _wire_send(self, src: str, dst: str, kind: int, payload: bytes) -> bool:
@@ -462,13 +451,18 @@ class TcpTransport:
         registry.incr("net.tcp.bytes_sent", len(payload))
         return True
 
-    def send(self, src: str, dst: str, payload: bytes) -> bool:
-        """Best-effort datagram; ``False`` when the connection fails."""
+    def _outbound(self, src: str, dst: str, payload: bytes) -> Frame | None:
+        """What the adversary chain lets out toward a known address."""
         self.location(dst)  # unknown destination raises, like the sim
         out = self._through_adversaries(
             Frame(src=src, dst=dst, payload=bytes(payload),
                   sent_at=self.clock.now))
-        if out is None or out.dst not in self._directory:
+        return out if out is not None and out.dst in self._directory else None
+
+    def send(self, src: str, dst: str, payload: bytes) -> bool:
+        """Best-effort datagram; ``False`` when the connection fails."""
+        out = self._outbound(src, dst, payload)
+        if out is None:
             # Adversarial drop (or redirect into the void): best-effort
             # loss, exactly the simulator's answer.
             obs.get_registry().incr("net.tcp.frames_dropped")
@@ -483,11 +477,8 @@ class TcpTransport:
 
     def request(self, src: str, dst: str, payload: bytes) -> bytes:
         """Round-trip exchange; raises :class:`NetworkError` on failure."""
-        self.location(dst)
-        out = self._through_adversaries(
-            Frame(src=src, dst=dst, payload=bytes(payload),
-                  sent_at=self.clock.now))
-        if out is None or out.dst not in self._directory:
+        out = self._outbound(src, dst, payload)
+        if out is None:
             raise NetworkError(f"request from {src!r} to {dst!r} was dropped")
         dst, payload = out.dst, out.payload
         scheduler = self._scheduler(src)
@@ -510,7 +501,7 @@ class TcpTransport:
         registry.incr("net.tcp.frames_sent")
         registry.incr("net.tcp.bytes_sent", len(payload))
         try:
-            response = future.result(self.request_timeout)
+            response = _reply(future, self.request_timeout)
         except concurrent.futures.TimeoutError as exc:
             self._pending.pop(req_id, None)
             raise NetworkError(
@@ -533,7 +524,9 @@ class TcpTransport:
         Flushes its link queues, then closes its listening socket, every
         inbound connection, every pooled outbound connection it
         originated, and fails its pending requests — so a closed
-        endpoint can never leak connections.
+        endpoint can never leak connections.  Its actor runs the
+        ``on_close`` hooks of those connections and then stops; the
+        call waits for it unless made on that actor's own thread.
         """
         scheduler = self._scheduler(address)
         if scheduler is not None:
@@ -554,6 +547,9 @@ class TcpTransport:
                 self._pending.pop(req_id, None)
                 future.set_exception(NetworkError(
                     f"endpoint {address!r} closed with the request in flight"))
+        state.actor.mailbox.put(None)
+        if getattr(_CURRENT, "actor", None) is not state.actor:
+            state.actor.thread.join(_SHUTDOWN_GRACE)
         obs.get_registry().set_gauge("net.tcp.endpoints", len(self._endpoints))
 
     async def _teardown_endpoint(self, address: str,
@@ -561,9 +557,12 @@ class TcpTransport:
         if state.server is not None:
             state.server.close()
             await state.server.wait_closed()
-        for writer in list(state.inbound):
-            writer.close()
-        state.inbound.clear()
+        # Each reader posts its on_close hook as it ends, so the hooks
+        # are queued before the actor's stop.
+        readers = list(state.inbound)
+        for task in readers:
+            task.cancel()
+        await asyncio.gather(*readers, return_exceptions=True)
         for key, conn in list(self._conns.items()):
             if key[0] == address:
                 if conn.reader_task is not None:
@@ -579,7 +578,7 @@ class TcpTransport:
         await asyncio.gather(*tasks, return_exceptions=True)
 
     def close(self) -> None:
-        """Tear down every endpoint, the pool, and the event loop."""
+        """Tear down every endpoint, its actor, and the event loop."""
         with self._lock:
             if self._closed:
                 return
@@ -589,7 +588,7 @@ class TcpTransport:
         with self._lock:
             loop, thread = self._loop, self._thread
         if loop is not None and loop.is_running():
-            # Let cancelled reader/request tasks run their finally blocks
+            # Let cancelled reader tasks run their finally blocks
             # while the loop is still alive, so no coroutine is finalized
             # against a closed loop at GC time.
             try:
@@ -604,7 +603,6 @@ class TcpTransport:
             if thread is not None:
                 thread.join(_SHUTDOWN_GRACE)
             loop.close()
-        self._pool.shutdown(wait=False)
 
     def __enter__(self) -> "TcpTransport":
         return self

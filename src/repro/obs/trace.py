@@ -25,6 +25,7 @@ virtual clock, not here.
 from __future__ import annotations
 
 import json
+import threading
 import time
 from typing import Any
 
@@ -99,17 +100,25 @@ class _SpanContext:
         return None
 
 
+class ThreadStack(threading.local):
+    """A list per thread: each thread sees only what it pushed."""
+
+    def __init__(self) -> None:
+        self.items: list = []
+
+
 class Tracer:
     """Builds span trees and exports them as JSON.
 
     ``registry=None`` follows the process default registry — both for the
     enabled/disabled switch and for the ``span.<name>.ms`` histograms.
+    Open spans are per thread, so each thread builds its own trees.
     """
 
     def __init__(self, registry: Registry | None = None,
                  max_traces: int = DEFAULT_MAX_TRACES) -> None:
         self._registry = registry
-        self._stack: list[Span] = []
+        self._open = ThreadStack()
         self.finished: list[Span] = []
         self._max_traces = max_traces
 
@@ -122,27 +131,29 @@ class Tracer:
 
     @property
     def current(self) -> Span | None:
-        """The innermost open span, if any."""
-        return self._stack[-1] if self._stack else None
+        """The calling thread's innermost open span, if any."""
+        return self._open.items[-1] if self._open.items else None
 
     def span(self, name: str, **attrs: Any) -> "_SpanContext | _NullSpanContext":
         if not self._reg().enabled:
             return _NULL_SPAN
         span = Span(name, attrs)
-        if self._stack:
-            self._stack[-1].children.append(span)
-        self._stack.append(span)
+        stack = self._open.items
+        if stack:
+            stack[-1].children.append(span)
+        stack.append(span)
         return _SpanContext(self, span)
 
     def _finish(self, span: Span) -> None:
         span.end_ms = time.perf_counter() * 1e3
+        stack = self._open.items
         # Unwind to this span even if inner contexts leaked via exceptions.
-        while self._stack:
-            top = self._stack.pop()
+        while stack:
+            top = stack.pop()
             if top is span:
                 break
         self._reg().observe(f"span.{span.name}.ms", span.duration_ms)
-        if not self._stack:
+        if not stack:
             self.finished.append(span)
             if len(self.finished) > self._max_traces:
                 del self.finished[:len(self.finished) - self._max_traces]
@@ -161,7 +172,7 @@ class Tracer:
             fh.write(self.to_json())
 
     def clear(self) -> None:
-        self._stack.clear()
+        self._open.items.clear()
         self.finished.clear()
 
 

@@ -138,12 +138,6 @@ class Broker(LinkCapsMixin):
             return None
         return session
 
-    def _require_session(self, src: str) -> ConnectedPeer:
-        session = self._session_for_address(src)
-        if session is None:
-            raise OverlayError(f"no authenticated session for {src!r}")
-        return session
-
     def _push_to_group_members(self, group_name: str, message: Message,
                                exclude_peer: str | None = None) -> int:
         """Propagate data to every connected member of a group."""

@@ -25,25 +25,26 @@ from dataclasses import dataclass
 from typing import Callable, TypeVar
 
 from repro import obs
+from repro.obs.trace import ThreadStack
 
 F = TypeVar("F", bound=Callable)
 
 #: name -> descriptor of every registered primitive
 CATALOGUE: dict[str, "PrimitiveInfo"] = {}
 
-#: innermost-first stack of primitives currently executing (the simulator
-#: is single-threaded, so a module-level stack is race-free)
-_ACTIVE: list[str] = []
+#: per thread, the stack of primitives currently executing (on sockets
+#: application and endpoint threads run primitives at the same time)
+_ACTIVE = ThreadStack()
 
 
 def current_primitive() -> str | None:
-    """Name of the innermost primitive currently executing, if any.
+    """Name of the calling thread's innermost executing primitive, if any.
 
     The retry runner in :mod:`repro.overlay.policy` uses this to
     attribute ``overlay.<primitive>.retries`` without every call site
     having to thread its own name through the policy layer.
     """
-    return _ACTIVE[-1] if _ACTIVE else None
+    return _ACTIVE.items[-1] if _ACTIVE.items else None
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,7 @@ def primitive(category: str, secure: bool = False) -> Callable[[F], F]:
         def wrapper(self, *args, **kwargs):
             self.metrics.incr(f"primitive.{info.name}")
             registry = obs.get_registry()
-            _ACTIVE.append(info.name)
+            _ACTIVE.items.append(info.name)
             try:
                 if not registry.enabled:
                     return func(self, *args, **kwargs)
@@ -93,7 +94,7 @@ def primitive(category: str, secure: bool = False) -> Callable[[F], F]:
                         f"overlay.{info.name}.frames_sent",
                         registry.counter("net.frames_sent").value - frames0)
             finally:
-                _ACTIVE.pop()
+                _ACTIVE.items.pop()
 
         wrapper.primitive_info = info  # type: ignore[attr-defined]
         return wrapper  # type: ignore[return-value]

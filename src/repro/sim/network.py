@@ -30,23 +30,22 @@ registered address a :class:`~repro.net.linkq.LinkScheduler`.  Its
 datagrams sent *inside* a handler of an in-flight operation, or under
 :meth:`SimNetwork.corked`, coalesce into one simulated delivery per
 BATCH wire unit — taps, interceptors and the link model see the batch
-as a single frame, exactly as a socket would carry it — and each
-scheduled address's queues are drained once as the outermost
-send/request returns.  Top-level sends outside a cork
+as a single frame, exactly as a socket would carry it — and the
+scheduled addresses' queues are drained as the outermost send/request
+returns, until none holds a frame.  Top-level sends outside a cork
 flush immediately as legacy single-frame units, so an unbatched
 caller cannot tell the scheduler is there.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable
 
 from repro import obs
 from repro.errors import NetworkError
-from repro.net import adversary, framing, linkq
-from repro.net.adversary import Interceptor, Tap
+from repro.net import framing, linkq
+from repro.net.adversary import AdversarySurface
 from repro.net.base import Frame, FrameHandler, PeerHook
 from repro.sim.clock import VirtualClock
 from repro.sim.latency import LAN_2009, LinkModel
@@ -110,21 +109,20 @@ class _EndpointState:
     scheduler: linkq.LinkScheduler | None = None
 
 
-class SimNetwork:
+class SimNetwork(AdversarySurface, linkq.LinkSurface):
     """A star network: every pair of endpoints shares one link model."""
 
     def __init__(self, clock: VirtualClock | None = None,
                  link: LinkModel = LAN_2009,
                  jitter_draw: Callable[[], float] | None = None,
                  loss_draw: Callable[[], float] | None = None) -> None:
+        super().__init__()
         self.clock = clock if clock is not None else VirtualClock()
         self.default_link = link
         self._links: dict[tuple[str, str], LinkModel] = {}
         self._endpoints: dict[str, _EndpointState] = {}
         #: addresses with a link scheduler, in first-configure order
         self._scheduled: dict[str, _EndpointState] = {}
-        self._taps: list[Tap] = []
-        self._interceptors: list[Interceptor] = []
         self._jitter_draw = jitter_draw
         self._loss_draw = loss_draw
         self.stats = NetworkStats()
@@ -170,20 +168,6 @@ class SimNetwork:
     def link_for(self, src: str, dst: str) -> LinkModel:
         return self._links.get((src, dst), self.default_link)
 
-    # -- adversary hooks ------------------------------------------------------
-
-    def add_tap(self, tap: Tap) -> None:
-        self._taps.append(tap)
-
-    def remove_tap(self, tap: Tap) -> None:
-        self._taps.remove(tap)
-
-    def add_interceptor(self, interceptor: Interceptor) -> None:
-        self._interceptors.append(interceptor)
-
-    def remove_interceptor(self, interceptor: Interceptor) -> None:
-        self._interceptors.remove(interceptor)
-
     # -- link scheduling ------------------------------------------------------
 
     def configure_links(self, address: str,
@@ -203,19 +187,6 @@ class SimNetwork:
         self._scheduled[address] = state
         return state.scheduler
 
-    def corked(self, address: str):
-        """Batch ``address``'s sends inside the context into shared units."""
-        state = self._endpoints.get(address)
-        if state is None or state.scheduler is None:
-            return nullcontext()
-        return state.scheduler.corked()
-
-    def set_link_compression(self, src: str, dst: str, level: int) -> None:
-        state = self._endpoints.get(src)
-        if state is None or state.scheduler is None:
-            raise NetworkError("configure_links() before negotiating compression")
-        state.scheduler.set_link_compression(src, dst, level)
-
     def _ship_unit(self, src: str, dst: str, payload: bytes) -> bool:
         try:
             return self._transmit(src, dst, payload)
@@ -225,7 +196,9 @@ class SimNetwork:
             return False
 
     def _drain(self) -> None:
-        """Ship every uncorked queue, one pass in configure order.
+        """Ship every uncorked queue, in configure order, until none holds
+        a frame — also one that a later scheduler's flush delivered into
+        an already-drained scheduler.
 
         Runs as the outermost send/request ends, so frames a handler
         queued reach the wire before simulation code regains control.
@@ -234,17 +207,16 @@ class SimNetwork:
             return
         self._draining = True
         try:
-            for state in list(self._scheduled.values()):
-                scheduler = state.scheduler
-                if not scheduler.corked_now:
-                    scheduler.flush_all()
+            shipped = True
+            while shipped:
+                shipped = False
+                for state in list(self._scheduled.values()):
+                    if not state.scheduler.corked_now:
+                        shipped = state.scheduler.flush_all() or shipped
         finally:
             self._draining = False
 
     # -- delivery -------------------------------------------------------------
-
-    def _through_adversaries(self, frame: Frame) -> Frame | None:
-        return adversary.run_chain(self._taps, self._interceptors, frame)
 
     def _transit(self, frame: Frame) -> bool:
         """Model the link crossing; returns False when the frame is lost."""
@@ -288,16 +260,15 @@ class SimNetwork:
         destination; adversarial drops and link loss return ``False`` —
         datagrams are best-effort, exactly like JXTA pipe messages.
         """
-        state = self._endpoints.get(src)
-        if state is None or state.scheduler is None:
+        scheduler = self._scheduler(src)
+        if scheduler is None:
             return self._transmit(src, dst, payload)
         if dst not in self._endpoints:
             raise NetworkError(f"no endpoint registered at {dst!r}")
         # Coalesce only where delivery order stays observable: inside a
         # handler of an in-flight operation (drained before the
         # outermost call returns) or under an explicit cork.
-        return state.scheduler.enqueue(src, dst, payload,
-                                       coalesce=self._op_depth > 0)
+        return scheduler.enqueue(src, dst, payload, coalesce=self._op_depth > 0)
 
     def _transmit(self, src: str, dst: str, payload: bytes) -> bool:
         """Put one wire unit on the simulated wire (see :meth:`send`)."""
@@ -328,11 +299,11 @@ class SimNetwork:
         :meth:`VirtualClock.cpu_section`.  Raises :class:`NetworkError`
         when the request or the response is dropped or unanswered.
         """
-        state = self._endpoints.get(src)
-        if state is not None and state.scheduler is not None:
+        scheduler = self._scheduler(src)
+        if scheduler is not None:
             # Ordering barrier: datagrams queued to this link must hit
             # the wire before the request does.
-            state.scheduler.flush_link(src, dst)
+            scheduler.flush_link(src, dst)
         if dst not in self._endpoints:
             raise NetworkError(f"no endpoint registered at {dst!r}")
         self._op_depth += 1

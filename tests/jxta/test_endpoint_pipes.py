@@ -92,13 +92,15 @@ class TestPipes:
         registry = PipeRegistry(receiver)
         pid = random_pipe_id(rng)
         pipe = registry.create_input_pipe(pid, "g")
+        delivered = []
+        pipe.add_listener(lambda msg, src: delivered.append(msg))
         adv = PipeAdvertisement(peer_id=random_peer_id(rng), pipe_id=pid,
                                 group="g", address="receiver")
         out = OutputPipe(sender, adv)
         inner = Message("chat")
         inner.add_text("text", "hello")
         assert out.send(inner)
-        assert pipe.received[0].get_text("text") == "hello"
+        assert delivered[0].get_text("text") == "hello"
 
     def test_listener_invoked(self, net, rng):
         receiver = Endpoint(net, "receiver")

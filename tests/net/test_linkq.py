@@ -355,6 +355,24 @@ class TestClosedEndpointScheduler:
         assert drained == []
 
 
+class TestSimDrain:
+    def test_relay_queued_into_a_drained_scheduler_ships_before_return(self):
+        """``b`` forwards to ``a`` and ``a`` relays to ``r``.  ``a``'s
+        scheduler drains first, so the relay lands in it only during
+        ``b``'s flush; it must still reach ``r`` before ``send`` returns."""
+        net = SimNetwork(clock=VirtualClock())
+        got: list[bytes] = []
+        net.register("r", lambda frame: got.append(frame.payload))
+        net.register("a", lambda frame: net.send(
+            "a", "r", b"relay:" + frame.payload))
+        net.register("b", lambda frame: net.send("b", "a", frame.payload))
+        relay = net.configure_links("a")
+        net.configure_links("b")
+        assert net.send("c", "b", b"hop") is True
+        assert got == [b"relay:hop"]
+        assert relay.pending_frames() == 0
+
+
 class TestLegacyByteIdentity:
     """No scheduler => one legacy wire unit per frame, byte for byte."""
 

@@ -9,6 +9,7 @@ once per backend: ``TcpTransport`` and ``SimNetwork``.
 
 from __future__ import annotations
 
+import json
 import logging
 import threading
 import time
@@ -16,7 +17,8 @@ import time
 import pytest
 
 from repro import obs
-from repro.errors import NetworkError
+from repro.crypto import resume
+from repro.errors import NetworkError, ReplayError
 from repro.jxta.endpoint import Endpoint
 from repro.jxta.messages import Message
 from repro.net.base import Frame, Transport
@@ -120,32 +122,23 @@ class TestRequests:
         with pytest.raises(NetworkError, match="handler failed"):
             tcp.request("peer:a", "svc", b"q")
 
-    def test_concurrent_requests_multiplex_on_one_connection(self, tcp):
-        """Slow and fast requests from one src interleave by request id."""
-        release = threading.Event()
+    def test_nested_request_back_over_the_pooled_connection(self, tcp):
+        """``svc``'s handler requests ``peer:a``, whose handler requests
+        ``svc`` again on the connection the outer request rode; the
+        blocked ``svc`` actor serves the inner call meanwhile."""
 
-        def handler(frame):
-            if frame.payload == b"slow":
-                # Generous ceiling: if this ever expired before the fast
-                # request finished, "slow" could land first and the
-                # ordering assertion below would flake under load.
-                release.wait(30.0)
-            return frame.payload
+        def svc(frame):
+            if frame.payload == b"outer":
+                return b"svc:" + tcp.request("svc", "peer:a", b"ping")
+            return b"inner:" + frame.payload
 
-        tcp.register("svc", handler)
-        results: dict[str, bytes] = {}
+        def peer(frame):
+            return b"a:" + tcp.request("peer:a", "svc", frame.payload)
 
-        def call(tag, payload):
-            results[tag] = tcp.request("peer:a", "svc", payload)
-
-        slow = threading.Thread(target=call, args=("slow", b"slow"))
-        slow.start()
-        # The fast request completes while the slow one is still parked.
-        assert tcp.request("peer:a", "svc", b"fast") == b"fast"
-        assert "slow" not in results
-        release.set()
-        slow.join(5.0)
-        assert results["slow"] == b"slow"
+        tcp.register("svc", svc)
+        tcp.register("peer:a", peer)
+        assert tcp.request("peer:a", "svc", b"outer") == b"svc:a:inner:ping"
+        assert tcp.request("peer:a", "svc", b"plain") == b"inner:plain"
 
     def test_concurrent_first_requests_share_one_connection(self, tcp):
         """Callers racing to open the same link end up on one pooled
@@ -181,6 +174,109 @@ class TestRequests:
         tcp.register("responder", responder_handler)
         assert tcp.request("initiator", "responder", b"go") == \
             b"outer:pong:nested"
+
+
+class TestOneOwnerPerEndpoint:
+    """Each endpoint is an actor: its handlers run one at a time."""
+
+    def test_handlers_of_one_endpoint_never_overlap(self, tcp):
+        lock = threading.Lock()
+        active = high = 0
+
+        def handler(frame):
+            nonlocal active, high
+            with lock:
+                active += 1
+                high = max(high, active)
+            time.sleep(0.05)
+            with lock:
+                active -= 1
+            return frame.payload
+
+        tcp.register("svc", handler)
+        senders = [f"peer:{i}" for i in range(4)]
+        start = threading.Barrier(len(senders))
+        results: list[bytes] = []
+
+        def call(src):
+            start.wait(5.0)
+            results.append(tcp.request(src, "svc", src.encode()))
+
+        threads = [threading.Thread(target=call, args=(src,))
+                   for src in senders]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10.0)
+        assert sorted(results) == sorted(src.encode() for src in senders)
+        assert high == 1
+
+    def test_handlers_hooks_and_flush_timers_share_one_thread(self, tcp):
+        seen: list[int] = []
+
+        def record(*_args):
+            seen.append(threading.get_ident())
+
+        tcp.register("svc", lambda frame: record() or frame.payload,
+                     on_connect=record, on_close=record)
+        tcp.register("peer:a", lambda frame: None)
+        tcp.register("rx", lambda frame: None)
+        scheduler = tcp.configure_links("svc")
+        pump = scheduler.pump
+
+        def timed_pump():
+            record()
+            pump()
+
+        scheduler.pump = timed_pump
+        assert tcp.request("peer:a", "svc", b"x") == b"x"
+        # the second datagram finds the link busy and waits for a timer
+        assert tcp.send("svc", "rx", b"1") and tcp.send("svc", "rx", b"2")
+        assert wait_for(lambda: scheduler.pending_frames() == 0)
+        tcp.unregister("peer:a")          # svc's on_close fires
+        assert wait_for(lambda: len(seen) >= 4)
+        assert len(set(seen)) == 1
+        assert seen[0] != threading.get_ident()
+
+    def test_a_resumed_frame_sent_twice_at_once_is_delivered_once(self, tcp):
+        """Two copies of one resumed frame race in on two connections;
+        the endpoint's one owner accepts the first and blocks the other."""
+        seed, suite = bytes(range(16)), "chacha20poly1305"
+        sender = resume.derive_session(seed, suite, 0.0)
+        store = resume.ReceiverResumeStore(max_uses=1000)
+        store.register(seed, suite, "alice", 0.0)
+        delivered: list[bytes] = []
+
+        def handler(frame):
+            try:
+                plaintext, _ = store.open(json.loads(frame.payload), b"", 0.0)
+            except ReplayError:
+                return
+            delivered.append(plaintext)
+
+        tcp.register("rx", handler)
+        for trial in range(100):
+            frame = json.dumps(resume.seal_resumed(sender, bytes(2048))).encode()
+            start = threading.Barrier(2)
+
+            def replay(src):
+                start.wait(5.0)
+                tcp.send(src, "rx", frame)
+
+            with obs.scope() as state:
+                threads = [threading.Thread(target=replay, args=(src,))
+                           for src in ("tx:1", "tx:2")]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(5.0)
+
+                def outcomes():
+                    return (len(delivered) - trial, state.registry.count(
+                        "crypto.resume.replay_blocked"))
+
+                assert wait_for(lambda: sum(outcomes()) == 2)
+                assert outcomes() == (1, 1)
 
 
 class TestLifecycleHooks:

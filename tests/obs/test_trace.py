@@ -1,11 +1,14 @@
 """Span nesting, error capture, export, and the disabled fast path."""
 
 import json
+import threading
 
 import pytest
 
 from repro import obs
 from repro.obs.trace import _NULL_SPAN, Tracer
+from repro.overlay import primitives
+from repro.sim.metrics import Metrics
 
 
 def test_nested_spans_build_one_tree(fresh_obs):
@@ -55,6 +58,50 @@ def test_inner_exception_unwinds_outer_stack(fresh_obs):
     assert tracer.current is None
     assert len(tracer.finished) == 1
     assert tracer.finished[0].children[0].error == "ValueError: bad"
+
+
+def test_each_thread_keeps_its_own_span_and_primitive_stack(fresh_obs):
+    """Two threads interleave inside their own primitive and span; each
+    child span and ``current_primitive()`` belongs to its own thread."""
+    opened = {"a": threading.Event(), "b": threading.Event()}
+    a_done = threading.Event()
+    seen: dict[str, str | None] = {}
+
+    def body(name, before, after):
+        with obs.span(name):
+            opened[name].set()
+            before()
+            with obs.span(name + ".child"):
+                seen[name] = primitives.current_primitive()
+        after()
+
+    class Peer:
+        metrics = Metrics()
+
+        @primitives.primitive("discovery")
+        def thread_probe_a(self):
+            body("a", lambda: opened["b"].wait(5.0), a_done.set)
+
+        @primitives.primitive("discovery")
+        def thread_probe_b(self):
+            body("b", lambda: a_done.wait(5.0), lambda: None)
+
+    peer = Peer()
+    try:
+        thread_a = threading.Thread(target=peer.thread_probe_a)
+        thread_a.start()
+        assert opened["a"].wait(5.0)
+        thread_b = threading.Thread(target=peer.thread_probe_b)
+        thread_b.start()
+        thread_a.join(5.0)
+        thread_b.join(5.0)
+    finally:
+        primitives.CATALOGUE.pop("thread_probe_a", None)
+        primitives.CATALOGUE.pop("thread_probe_b", None)
+    assert seen == {"a": "thread_probe_a", "b": "thread_probe_b"}
+    trees = {root.name: [child.name for child in root.children]
+             for root in obs.get_tracer().finished}
+    assert trees == {"a": ["a.child"], "b": ["b.child"]}
 
 
 def test_disabled_tracing_is_a_shared_noop(fresh_obs):
